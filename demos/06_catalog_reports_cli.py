@@ -22,7 +22,7 @@ from ringlab.reports import strip_timing
 
 print("== the default catalog, re-verified ==")
 for entry in default_catalog():
-    profile = ring_profile(parse_ring_spec(entry.spec))
+    profile = ring_profile(parse_ring_spec(entry.spec)).to_json()
     mismatches = verify_entry_tags(entry, profile)
     status = "ok" if not mismatches else f"MISMATCH {mismatches}"
     print(f"  {entry.spec:<16} tags: {' '.join(entry.tags):<42} {status}")

@@ -1,18 +1,28 @@
 """Persisted result cache keyed by (tool version, ring spec, operation).
 
 The cache is an optimization only: every value it serves was computed by the
-same code path that would recompute it, and a version bump invalidates the
-whole file. Writes are atomic (write-temp-rename).
+same code that would recompute it, because a file written under another
+version or source fingerprint is ignored whole. Writes are atomic
+(write-temp-rename).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
 
 ENV_VAR = "RINGLAB_CACHE"
+
+
+def source_fingerprint():
+    """SHA-256 over the names and bytes of the package's .py files."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 def default_cache_path():
@@ -26,6 +36,7 @@ class ResultCache:
     def __init__(self, path, version):
         self.path = Path(path)
         self.version = version
+        self.fingerprint = source_fingerprint()
         self._entries = None
         self._dirty = False
 
@@ -38,7 +49,9 @@ class ResultCache:
                 data = json.load(fh)
         except (OSError, ValueError):
             return
-        if data.get("version") == self.version:
+        if not isinstance(data, dict):
+            return
+        if (data.get("version"), data.get("fingerprint")) == (self.version, self.fingerprint):
             self._entries = dict(data.get("entries", {}))
 
     @staticmethod
@@ -58,7 +71,8 @@ class ResultCache:
         if not self._dirty:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"version": self.version, "entries": self._entries}
+        payload = {"version": self.version, "fingerprint": self.fingerprint,
+                   "entries": self._entries}
         fd, tmp = tempfile.mkstemp(dir=str(self.path.parent), suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:

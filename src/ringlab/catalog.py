@@ -1,9 +1,9 @@
 """Ring-spec grammar, element literals, and the default ring catalog.
 
 Spec strings: ``Zn:<n>`` | ``M<k>:<spec>`` | ``T<k>:<spec>`` |
-``prod:<spec>+<spec>[+...]`` | ``op:<spec>``. Construction is cached by the
-spec string. Catalog entries carry expected-property tags that are always
-re-verified against a freshly computed profile, never trusted.
+``prod:<spec>+<spec>[+...]`` | ``op:<spec>``. A ring is reused for its spec
+string while it is alive. Catalog entries carry expected-property tags that
+are always checked against the cached or freshly computed profile.
 """
 
 from __future__ import annotations
@@ -11,14 +11,14 @@ from __future__ import annotations
 import ast
 import json
 import re
+import weakref
 from dataclasses import dataclass, field
 
-from .classify import RingProfile
 from .errors import LiteralParseError, SpecParseError
 from .rings import (DEFAULT_SIZE_CAP, element_from_obj, element_repr, make_matrix_ring,
                     make_opposite, make_product, make_triangular_ring, make_zmod)
 
-_RING_CACHE = {}
+_RING_CACHE = weakref.WeakValueDictionary()
 
 _INT_RE = re.compile(r"\d+")
 
@@ -57,10 +57,11 @@ def _parse_spec(s, pos, size_cap):
 
 
 def parse_ring_spec(s, size_cap=DEFAULT_SIZE_CAP):
-    """Construct (and cache) the ring named by a spec string."""
+    """Construct the ring named by a spec string, or return the live one."""
     key = (s, size_cap)
-    if key in _RING_CACHE:
-        return _RING_CACHE[key]
+    ring = _RING_CACHE.get(key)
+    if ring is not None:
+        return ring
     ring, end = _parse_spec(s, 0, size_cap)
     if end != len(s):
         raise SpecParseError("unexpected trailing text", s, end)
@@ -137,30 +138,17 @@ def load_catalog(path):
     return entries
 
 
-def _tag_value(profile: RingProfile, base):
-    if base == "ssp":
-        return profile.ssp.holds
-    if base == "sip":
-        return profile.sip.holds
-    if base == "ic":
-        return profile.ic.holds
-    if base == "sr1":
-        return profile.sr1.holds
-    if base == "abelian":
-        return profile.abelian.holds
-    if base == "unit-regular":
-        return profile.unit_regular
-    raise ValueError(f"unknown catalog tag {base!r}")
-
-
 def verify_entry_tags(entry, profile):
-    """Compare stored tags against the recomputed profile; returns mismatches."""
+    """Compare stored tags against a profile's JSON form; returns mismatches."""
     mismatches = []
     for tag in entry.tags:
         negated = tag.startswith("not-")
         base = tag[4:] if negated else tag
-        actual = _tag_value(profile, base)
+        if base not in KNOWN_TAGS:
+            raise ValueError(f"unknown catalog tag {base!r}")
+        actual = bool(profile["unit_regular"] if base == "unit-regular"
+                      else profile[base]["holds"])
         expected = not negated
-        if bool(actual) != expected:
-            mismatches.append({"tag": tag, "expected": expected, "actual": bool(actual)})
+        if actual != expected:
+            mismatches.append({"tag": tag, "expected": expected, "actual": actual})
     return mismatches

@@ -9,13 +9,12 @@ a named result independently and then assert the expected pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .elements import regular_elements, regularity_table, unit_regularity_table
 from .ideals import summands_isomorphic
-from .rings import make_opposite
+from .rings import make_opposite, per_ring, row_bitsets, summand_partners
 
 SUITE_NAMES = ("T2.4", "T2.9", "C2.10", "R2.5", "C2.6", "L2.3")
 
@@ -56,33 +55,16 @@ class Verdict:
         return out
 
 
-# -- per-ring bitmask caches ---------------------------------------------------
+# -- per-ring derived tables ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _right_masks(ring):
-    """(mask, size) of aR for every a, as int bitsets over element indices."""
-    masks = tuple(sum(1 << m for m in s) for s in ring.right_principal_sets)
-    lens = tuple(len(s) for s in ring.right_principal_sets)
-    return masks, lens, 1 << ring.zero
-
-
-@lru_cache(maxsize=None)
-def _left_masks(ring):
-    masks = tuple(sum(1 << m for m in s) for s in ring.left_principal_sets)
-    lens = tuple(len(s) for s in ring.left_principal_sets)
-    return masks, lens, 1 << ring.zero
-
-
-@lru_cache(maxsize=None)
+@per_ring
 def _annihilator_masks(ring):
     """Bitset of {r : a*r = 0} for every a."""
-    zero_rows = ring.mul_table == ring.zero
-    return tuple(sum(1 << int(r) for r in np.flatnonzero(zero_rows[a]))
-                 for a in range(ring.size))
+    return row_bitsets(ring.mul_table == ring.zero)
 
 
-@lru_cache(maxsize=None)
+@per_ring
 def unimodular_matrix(ring):
     """Boolean table U[a, b] = (Ra + Rb = R), computed per left-ideal class."""
     n = ring.size
@@ -101,22 +83,13 @@ def unimodular_matrix(ring):
     return table[class_idx][:, class_idx]
 
 
-@lru_cache(maxsize=None)
-def _opposite(ring):
-    return make_opposite(ring)
-
-
-@lru_cache(maxsize=None)
+@per_ring
 def special_clean_flags(ring):
     """flags[a] = a has at least one special clean decomposition."""
-    masks, lens, zero_mask = _right_masks(ring)
-    flags = np.zeros(ring.size, dtype=bool)
-    for a in range(ring.size):
-        for e in ring.idempotent_list:
-            u = ring.sub(a, e)
-            if u in ring.units and masks[a] & masks[e] == zero_mask:
-                flags[a] = True
-                break
+    partners = summand_partners(ring, "right")
+    units = ring.unit_flags
+    flags = np.array([any(units[ring.sub(a, e)] for e in partners[a][0])
+                      for a in range(ring.size)], dtype=bool)
     flags.setflags(write=False)
     return flags
 
@@ -130,7 +103,7 @@ def ring_unit_regular(ring):
 # -- the property predicates ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@per_ring
 def is_ssp(ring):
     """Sum of any two summands of the right regular module is a summand."""
     summand_sets = {ring.right_principal_sets[e] for e in ring.idempotent_list}
@@ -148,7 +121,7 @@ def is_ssp(ring):
     return Verdict(True, checked=checked)
 
 
-@lru_cache(maxsize=None)
+@per_ring
 def is_sip(ring):
     """Intersection of any two summands is a summand."""
     summand_sets = {ring.right_principal_sets[e] for e in ring.idempotent_list}
@@ -163,7 +136,7 @@ def is_sip(ring):
     return Verdict(True, checked=checked)
 
 
-@lru_cache(maxsize=None)
+@per_ring
 def is_ic(ring):
     """Every regular element is unit-regular (internal cancellation)."""
     reg_mask, _ = regularity_table(ring)
@@ -175,7 +148,7 @@ def is_ic(ring):
     return Verdict(True, checked=int(reg_mask.sum()))
 
 
-@lru_cache(maxsize=None)
+@per_ring
 def is_abelian(ring):
     """Every idempotent commutes with every element."""
     checked = 0
@@ -189,7 +162,7 @@ def is_abelian(ring):
     return Verdict(True, checked=checked)
 
 
-@lru_cache(maxsize=None)
+@per_ring
 def has_stable_range_1(ring):
     """Ra + Rb = R always admits z with a + z*b a unit."""
     U = unimodular_matrix(ring)
@@ -209,29 +182,20 @@ def has_stable_range_1(ring):
 def _idem_condition_over_pairs(ring, pairs_iter):
     """Shared scan: each pair (a, b) needs an idempotent e with a + e*b a unit
     and aR + eR an internal direct sum equal to R."""
-    masks, lens, zero_mask = _right_masks(ring)
-    n = ring.size
+    partners = summand_partners(ring, "right")
     flags = ring.unit_flags
-    idems = ring.idempotent_list
     checked = 0
     for a, b in pairs_iter:
         checked += 1
-        found = None
-        for e in idems:
-            if not flags[ring.add(a, ring.mul(e, b))]:
-                continue
-            if lens[a] * lens[e] == n and masks[a] & masks[e] == zero_mask:
-                found = e
-                break
-        if found is None:
+        if not any(flags[ring.add(a, ring.mul(e, b))] for e in partners[a][1]):
             return Verdict(False,
                            witness={"pair": [int(a), int(b)],
-                                    "idempotents_tried": [int(e) for e in idems]},
+                                    "idempotents_tried": list(ring.idempotent_list)},
                            checked=checked)
     return Verdict(True, checked=checked)
 
 
-@lru_cache(maxsize=None)
+@per_ring
 def idem_sr_condition(ring):
     """For regular a, b with Ra + Rb = R there is an idempotent e with
     a + e*b a unit and aR (+) eR = R."""
@@ -241,7 +205,7 @@ def idem_sr_condition(ring):
     return _idem_condition_over_pairs(ring, pairs)
 
 
-@lru_cache(maxsize=None)
+@per_ring
 def idem_condition_annihilator(ring):
     """Variant with hypothesis r(a) meet r(b) = 0 instead of unimodularity.
 
@@ -261,12 +225,12 @@ def idem_condition_annihilator(ring):
     return Verdict(verdict.holds, verdict.witness, verdict.checked, extra=extra)
 
 
-@lru_cache(maxsize=None)
+@per_ring
 def idem_condition_right_sided(ring):
     """Right-sided variant: aR + bR = R gives e with a + b*e a unit and
     Ra (+) Re = R. Evaluated by running the left-sided condition on the
     opposite ring; element indices carry over unchanged."""
-    verdict = idem_sr_condition(_opposite(ring))
+    verdict = idem_sr_condition(make_opposite(ring))
     note = "computed on the opposite ring; indices are shared with the original"
     return Verdict(verdict.holds, verdict.witness, verdict.checked, note=note)
 
@@ -277,13 +241,9 @@ def right_sided_certificate(ring, a, b):
     Works directly in the given ring, so it cross-checks the opposite-ring
     route used by the right-sided verdict.
     """
-    masks, lens, zero_mask = _left_masks(ring)
-    n = ring.size
-    for e in ring.idempotent_list:
-        if ring.add(a, ring.mul(b, e)) not in ring.units:
-            continue
-        if lens[a] * lens[e] == n and masks[a] & masks[e] == zero_mask:
-            return int(e)
+    for e in summand_partners(ring, "left")[a][1]:
+        if ring.add(a, ring.mul(b, e)) in ring.units:
+            return e
     return None
 
 
@@ -323,8 +283,8 @@ def _unwind_factors(levels, value):
     return list(reversed(factors))
 
 
-@lru_cache(maxsize=None)
-def product_regular_condition(ring, arity=2, arity_bound=PRODUCT_ARITY_BOUND):
+@per_ring
+def product_regular_condition(ring, arity):
     """Every product of `arity` regular elements is unit-regular.
 
     Also records whether each such product is special clean; the least
@@ -333,8 +293,8 @@ def product_regular_condition(ring, arity=2, arity_bound=PRODUCT_ARITY_BOUND):
     """
     if arity < 2:
         raise ValueError("arity must be at least 2")
-    if arity > arity_bound:
-        raise ValueError(f"arity {arity} exceeds the configured bound {arity_bound}")
+    if arity > PRODUCT_ARITY_BOUND:
+        raise ValueError(f"arity {arity} exceeds the bound {PRODUCT_ARITY_BOUND}")
     regs = regular_elements(ring)
     levels = _product_levels(ring, arity, regs)
     products = sorted(levels[-1])
@@ -375,24 +335,20 @@ def _literal_products_special_clean(ring, arity):
     return True, None
 
 
-@lru_cache(maxsize=None)
+@per_ring
 def direct_sum_cancellation(ring, max_size=CANCELLATION_SIZE_BOUND):
     """Isomorphic first summands force isomorphic complements, over all
     internal decompositions R = A (+) B into summand pairs."""
     if ring.size > max_size:
         return Verdict(None, note=f"skipped: ring size {ring.size} exceeds "
                                   f"the enumeration bound {max_size}")
-    n = ring.size
+    partners = summand_partners(ring, "right")
     reps = {}
     for e in ring.idempotent_list:
         reps.setdefault(ring.right_principal_sets[e], e)
     summands = sorted(reps.items(), key=lambda kv: kv[1])
-    zero_only = frozenset({ring.zero})
-    decomps = []
-    for A, ea in summands:
-        for B, eb in summands:
-            if A & B == zero_only and len(A) * len(B) == n:
-                decomps.append((A, ea, B, eb))
+    decomps = [(A, ea, B, eb) for A, ea in summands for B, eb in summands
+               if eb in partners[ea][1]]
 
     iso_memo = {}
 
@@ -459,7 +415,7 @@ def ring_profile(ring):
         abelian=is_abelian(ring),
         sr1=has_stable_range_1(ring),
         idem_sr_condition=idem_sr_condition(ring),
-        product_regular_condition=product_regular_condition(ring),
+        product_regular_condition=product_regular_condition(ring, 2),
         unit_regular=ring_unit_regular(ring),
     )
 

@@ -177,43 +177,37 @@ def run_verify(suite, entries=None, cache=None, jobs=1):
         raise ValueError(f"unknown suite {suite!r}; expected 'all' or one of {SUITE_NAMES}")
 
     timing = {}
+    results = {}  # spec -> (profile JSON, {suite name: report})
     needed = []
     for entry in entries:
-        have_profile = cache.get(entry.spec, "profile") is not None
-        have_suites = all(cache.get(entry.spec, f"suite:{s}") is not None for s in suites)
-        if not (have_profile and have_suites):
+        profile = cache.get(entry.spec, "profile")
+        reports = {name: cache.get(entry.spec, f"suite:{name}") for name in suites}
+        if profile is None or None in reports.values():
             needed.append((entry.spec, tuple(suites)))
-
-    computed = {}
-    if needed:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for spec, profile, suite_reports in pool.map(_entry_work, needed):
-                    computed[spec] = (profile, suite_reports)
         else:
-            for task in needed:
-                start = time.perf_counter()
-                spec, profile, suite_reports = _entry_work(task)
-                computed[spec] = (profile, suite_reports)
-                timing[spec] = time.perf_counter() - start
+            results[entry.spec] = profile, reports
+
+    if needed and jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            computed = list(pool.map(_entry_work, needed))
+    else:
+        computed = []
+        for task in needed:
+            start = time.perf_counter()
+            computed.append(_entry_work(task))
+            timing[task[0]] = time.perf_counter() - start
+    for spec, profile, reports in computed:
+        results[spec] = profile, reports
+        cache.put(spec, "profile", profile)
+        for name, rep in reports.items():
+            cache.put(spec, f"suite:{name}", rep)
 
     catalog_section = []
     suite_section = []
     ok = True
     for entry in entries:
-        if entry.spec in computed:
-            profile_json, suite_reports = computed[entry.spec]
-            cache.put(entry.spec, "profile", profile_json)
-            for name, rep in suite_reports.items():
-                cache.put(entry.spec, f"suite:{name}", rep)
-        else:
-            profile_json = cache.get(entry.spec, "profile")
-            suite_reports = {name: cache.get(entry.spec, f"suite:{name}")
-                             for name in suites}
-
-        ring = parse_ring_spec(entry.spec)
-        profile_obj = ring_profile(ring)  # cheap: all verdicts are memoized
-        mismatches = verify_entry_tags(entry, profile_obj)
+        profile_json, suite_reports = results[entry.spec]
+        mismatches = verify_entry_tags(entry, profile_json)
         if mismatches:
             ok = False
         catalog_section.append({
@@ -261,7 +255,7 @@ def _hunt_candidates(max_size):
     return ordered
 
 
-def run_hunt(expr_text, max_size, cache=None):
+def run_hunt(expr_text, max_size):
     node = parse_property_expr(expr_text)
     matches = []
     examined = 0
@@ -379,7 +373,7 @@ def main(argv=None):
 
         else:  # hunt
             start = time.perf_counter()
-            section = run_hunt(args.property_expr, args.max_size, cache)
+            section = run_hunt(args.property_expr, args.max_size)
             report = _base_report(command_echo)
             report.update(section)
             report["status"] = "pass"

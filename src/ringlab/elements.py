@@ -8,11 +8,11 @@ candidate in index order, so repeated runs reproduce identical reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import HypothesisViolation, InvariantViolation
+from .rings import per_ring, summand_partners
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class CleanDecomposition:
                 "unit": self.unit, "special": self.special}
 
 
-@lru_cache(maxsize=None)
+@per_ring
 def _axa_table(ring):
     """Table t[a, x] = a*x*a."""
     n = ring.size
@@ -47,7 +47,7 @@ def _axa_table(ring):
     return m[ax, np.arange(n)[:, None]]
 
 
-@lru_cache(maxsize=None)
+@per_ring
 def regularity_table(ring):
     """(mask, least_x): which elements are regular, with least inner inverse."""
     t = _axa_table(ring)
@@ -58,7 +58,7 @@ def regularity_table(ring):
     return mask, least
 
 
-@lru_cache(maxsize=None)
+@per_ring
 def unit_regularity_table(ring):
     """(mask, least_u): which elements are unit-regular, least unit witness."""
     t = _axa_table(ring)
@@ -100,15 +100,11 @@ def special_clean_witnesses(ring, a):
     The unit is forced by the idempotent, so the list is ordered by
     idempotent index; it is empty exactly when a is not special clean.
     """
-    zero_only = frozenset({ring.zero})
-    aR = ring.right_principal_sets[a]
     out = []
-    for e in ring.idempotent_list:
+    for e in summand_partners(ring, "right")[a][0]:
         u = ring.sub(a, e)
-        if u not in ring.units:
-            continue
-        if aR & ring.right_principal_sets[e] == zero_only:
-            out.append(CleanDecomposition(element=int(a), idem=int(e), unit=u, special=True))
+        if u in ring.units:
+            out.append(CleanDecomposition(element=int(a), idem=e, unit=u, special=True))
     return out
 
 
@@ -118,12 +114,11 @@ def is_clean(ring, a):
     The `special` flag still records whether aR meet eR = 0 happened to hold,
     so negative special-clean reports stay informative.
     """
-    zero_only = frozenset({ring.zero})
     for e in ring.idempotent_list:
         u = ring.sub(a, e)
         if u in ring.units:
-            disjoint = ring.right_principal_sets[a] & ring.right_principal_sets[e] == zero_only
-            return CleanDecomposition(element=int(a), idem=int(e), unit=u, special=disjoint)
+            special = e in summand_partners(ring, "right")[a][0]
+            return CleanDecomposition(element=int(a), idem=e, unit=u, special=special)
     return None
 
 

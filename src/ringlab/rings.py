@@ -9,6 +9,7 @@ so results are reproducible and reports self-describing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -57,6 +58,8 @@ class FiniteRing:
     # construction descriptor, e.g. ("zmod", 6) or ("matrix", 2, base_ring);
     # drives element-literal encoding and pretty-printing
     form: tuple = field(repr=False)
+    # results of @per_ring functions, freed with the ring
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.add_table = np.ascontiguousarray(self.add_table, dtype=np.int32)
@@ -144,6 +147,22 @@ class FiniteRing:
         return tuple(frozenset(int(v) for v in np.unique(self.mul_table[:, a]))
                      for a in range(self.size))
 
+    @cached_property
+    def right_masks(self):
+        """right_masks[a] = aR as an int bitset over element indices."""
+        return row_bitsets(self._membership(self.mul_table))
+
+    @cached_property
+    def left_masks(self):
+        """left_masks[a] = Ra as an int bitset over element indices."""
+        return row_bitsets(self._membership(self.mul_table.T))
+
+    def _membership(self, rows):
+        """Boolean matrix with [a, v] set iff v occurs in rows[a]."""
+        hits = np.zeros((self.size, self.size), dtype=bool)
+        hits[np.arange(self.size)[:, None], rows] = True
+        return hits
+
     # -- exhaustive table checks --------------------------------------------
 
     def validate(self):
@@ -179,6 +198,44 @@ class FiniteRing:
             if not np.array_equal(m[a[i]], a[m[i][None, :], m]):
                 raise ValueError(f"right distributivity fails (row {i})")
         return True
+
+
+def row_bitsets(flags):
+    """Each row of a boolean matrix as an int with bit j set iff flags[row, j]."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def per_ring(fn):
+    """Memoise fn(ring, *args, **kwargs) in the ring's own memo, so each
+    result lives exactly as long as the ring it was computed for."""
+
+    @functools.wraps(fn)
+    def wrapper(ring, *args, **kwargs):
+        key = (fn, args, tuple(kwargs.items()))
+        if key not in ring._memo:
+            ring._memo[key] = fn(ring, *args, **kwargs)
+        return ring._memo[key]
+
+    return wrapper
+
+
+@per_ring
+def summand_partners(ring, side):
+    """For every element a, the idempotents e (in index order) with
+    aR meet eR = 0, and those with aR (+) eR = R; side="left" uses Ra and Re.
+
+    partners[a] = (disjoint, complements), computed once per principal ideal.
+    """
+    masks = ring.right_masks if side == "right" else ring.left_masks
+    zero_mask = 1 << ring.zero
+    by_ideal = {}
+    for mask in set(masks):
+        disjoint = tuple(e for e in ring.idempotent_list if mask & masks[e] == zero_mask)
+        complements = tuple(e for e in disjoint
+                            if mask.bit_count() * masks[e].bit_count() == ring.size)
+        by_ideal[mask] = disjoint, complements
+    return tuple(by_ideal[mask] for mask in masks)
 
 
 @dataclass(frozen=True)
@@ -257,19 +314,28 @@ def _decode_digits(size, cells, radix):
     return ((idx[:, None] // powers[None, :]) % radix).astype(np.int32)
 
 
-def _matrix_tables(k, base, positions):
-    """Tables for matrices over `base` supported on the given (row, col) cells.
+def positions(kind, k):
+    """The stored (row, col) cells of a k x k "matrix" or "triangular" shape,
+    in row-major order; cells off this support are identically zero."""
+    if kind == "matrix":
+        return [(i, j) for i in range(k) for j in range(k)]
+    return [(i, j) for i in range(k) for j in range(i, k)]
 
-    `positions` lists the stored cells in row-major order; entries off the
-    support are identically zero (used for the triangular shape).
-    """
-    cells = len(positions)
+
+def _matrix_shape_ring(kind, k, base, size_cap):
+    """k x k matrices over `base` stored on positions(kind, k), enumerated
+    lexicographically over the stored cells."""
+    if k < 1:
+        raise ValueError("matrix dimension must be at least 1")
+    support = positions(kind, k)
+    cells = len(support)
     size = base.size ** cells
+    _check_cap(size, size_cap)
     digits = _decode_digits(size, cells, base.size)
 
     # full k x k entry grid with zeros off the support
     grid = np.full((size, k, k), base.zero, dtype=np.int32)
-    for c, (i, j) in enumerate(positions):
+    for c, (i, j) in enumerate(support):
         grid[:, i, j] = digits[:, c]
 
     badd = base.add_table
@@ -282,7 +348,7 @@ def _matrix_tables(k, base, positions):
     add = _encode_digits(add_digits, base.size)
 
     mul_digits = np.empty((size, size, cells), dtype=np.int32)
-    for c, (p, q) in enumerate(positions):
+    for c, (p, q) in enumerate(support):
         acc = np.full((size, size), base.zero, dtype=np.int32)
         for l in range(k):
             term = bmul[grid[:, p, l][:, None], grid[:, l, q][None, :]]
@@ -290,35 +356,22 @@ def _matrix_tables(k, base, positions):
         mul_digits[:, :, c] = acc
     mul = _encode_digits(mul_digits, base.size)
 
-    one_grid = [[base.one if i == j else base.zero for j in range(k)] for i in range(k)]
-    one_digits = np.array([[one_grid[i][j] for (i, j) in positions]], dtype=np.int32)
+    one_digits = np.array([[base.one if i == j else base.zero for (i, j) in support]],
+                          dtype=np.int32)
     one = int(_encode_digits(one_digits, base.size)[0])
-    return add, mul, one
+    prefix = "M" if kind == "matrix" else "T"
+    return FiniteRing(spec=f"{prefix}{k}:{base.spec}", add_table=add, mul_table=mul,
+                      zero=0, one=one, form=(kind, k, base))
 
 
 def make_matrix_ring(k, base, size_cap=DEFAULT_SIZE_CAP):
     """Full k x k matrices over `base`, enumerated row-major lexicographically."""
-    if k < 1:
-        raise ValueError("matrix dimension must be at least 1")
-    size = base.size ** (k * k)
-    _check_cap(size, size_cap)
-    positions = [(i, j) for i in range(k) for j in range(k)]
-    add, mul, one = _matrix_tables(k, base, positions)
-    return FiniteRing(spec=f"M{k}:{base.spec}", add_table=add, mul_table=mul,
-                      zero=0, one=one, form=("matrix", k, base))
+    return _matrix_shape_ring("matrix", k, base, size_cap)
 
 
 def make_triangular_ring(k, base, size_cap=DEFAULT_SIZE_CAP):
     """Upper-triangular k x k matrices over `base`; lower cells stay zero."""
-    if k < 1:
-        raise ValueError("matrix dimension must be at least 1")
-    cells = k * (k + 1) // 2
-    size = base.size ** cells
-    _check_cap(size, size_cap)
-    positions = [(i, j) for i in range(k) for j in range(i, k)]
-    add, mul, one = _matrix_tables(k, base, positions)
-    return FiniteRing(spec=f"T{k}:{base.spec}", add_table=add, mul_table=mul,
-                      zero=0, one=one, form=("triangular", k, base))
+    return _matrix_shape_ring("triangular", k, base, size_cap)
 
 
 def make_product(factors, size_cap=DEFAULT_SIZE_CAP):
@@ -382,13 +435,10 @@ def element_to_obj(ring, idx):
         return int(idx)
     if kind in ("matrix", "triangular"):
         k, base = ring.form[1], ring.form[2]
-        if kind == "matrix":
-            positions = [(i, j) for i in range(k) for j in range(k)]
-        else:
-            positions = [(i, j) for i in range(k) for j in range(i, k)]
-        digits = _decode_digits(ring.size, len(positions), base.size)[idx]
+        cells = positions(kind, k)
+        digits = _decode_digits(ring.size, len(cells), base.size)[idx]
         rows = [[element_to_obj(base, base.zero) for _ in range(k)] for _ in range(k)]
-        for c, (i, j) in enumerate(positions):
+        for c, (i, j) in enumerate(cells):
             rows[i][j] = element_to_obj(base, int(digits[c]))
         return rows
     if kind == "product":
@@ -416,16 +466,13 @@ def element_from_obj(ring, obj):
         rows = list(obj)
         if len(rows) != k or any(len(list(r)) != k for r in rows):
             raise LiteralParseError(f"expected a {k}x{k} matrix literal for {ring.spec}")
-        if kind == "matrix":
-            positions = [(i, j) for i in range(k) for j in range(k)]
-        else:
-            positions = [(i, j) for i in range(k) for j in range(i, k)]
+        if kind == "triangular":
             for i in range(k):
                 for j in range(i):
                     if element_from_obj(base, rows[i][j]) != base.zero:
                         raise LiteralParseError(
                             f"entry ({i},{j}) must be zero in the triangular ring {ring.spec}")
-        digits = np.array([[element_from_obj(base, rows[i][j]) for (i, j) in positions]],
+        digits = np.array([[element_from_obj(base, rows[i][j]) for (i, j) in positions(kind, k)]],
                           dtype=np.int32)
         return int(_encode_digits(digits, base.size)[0])
     if kind == "product":

@@ -70,13 +70,13 @@ def test_default_catalog_tags():
 
 def test_all_default_tags_verify(catalog_rings):
     for entry in default_catalog():
-        profile = ring_profile(catalog_rings[entry.spec])
+        profile = ring_profile(catalog_rings[entry.spec]).to_json()
         assert verify_entry_tags(entry, profile) == []
 
 
 def test_tag_mismatch_detected(t2z3):
     bogus = CatalogEntry(spec="T2:Zn:3", tags=("ssp",), provenance={"ssp": "computed"})
-    mismatches = verify_entry_tags(bogus, ring_profile(t2z3))
+    mismatches = verify_entry_tags(bogus, ring_profile(t2z3).to_json())
     assert mismatches == [{"tag": "ssp", "expected": True, "actual": False}]
 
 
@@ -276,6 +276,34 @@ def test_cache_version_invalidation(tmp_path):
     stale.save()
     fresh = ResultCache(path, "0.1.0")
     assert fresh.get("Zn:6", "profile") is None
+
+
+def test_cache_ignores_a_file_from_other_sources(tmp_path):
+    path = tmp_path / "cache.json"
+    version = __import__("ringlab").__version__
+    path.write_text(json.dumps({"version": version, "fingerprint": "other sources",
+                                "entries": {"Zn:6||profile": {"stale": True}}}))
+    assert ResultCache(path, version).get("Zn:6", "profile") is None
+    path.write_text("[]")  # valid JSON, but not a cache file
+    assert ResultCache(path, version).get("Zn:6", "profile") is None
+
+
+def test_warm_verify_reads_tags_from_the_cached_profiles(monkeypatch, tmp_path):
+    path = tmp_path / "cache.json"
+    version = __import__("ringlab").__version__
+    cold_cache = ResultCache(path, version)
+    cold, cold_ok = run_verify("all", cache=cold_cache)
+    cold_cache.save()
+
+    def forbidden(*_):
+        raise AssertionError("a warm verify recomputed a ring")
+
+    monkeypatch.setattr("ringlab.cli.ring_profile", forbidden)
+    monkeypatch.setattr("ringlab.cli.parse_ring_spec", forbidden)
+    warm, warm_ok = run_verify("all", cache=ResultCache(path, version))
+    assert warm_ok == cold_ok
+    assert json.dumps(strip_timing(warm), sort_keys=True) == \
+        json.dumps(strip_timing(cold), sort_keys=True)
 
 
 def test_cache_env_override(monkeypatch, tmp_path):

@@ -1,16 +1,21 @@
+import gc
 import json
+import weakref
 
 import pytest
 
 import oracles
-from ringlab import (SUITE_NAMES, direct_sum_cancellation, has_stable_range_1,
-                     idem_condition_annihilator, idem_condition_right_sided,
-                     idem_sr_condition, idempotents, ideal_sum, is_abelian, is_ic,
-                     is_sip, is_ssp, make_zmod, parse_ring_spec, principal,
-                     product_regular_condition, regular_elements, ring_profile,
-                     right_sided_certificate, sided_condition_variants,
-                     special_clean_witnesses, summand_idempotent, theorem_suite,
-                     unimodular_matrix, unit_regular_witness)
+from ringlab import (SUITE_NAMES, default_catalog, direct_sum_cancellation,
+                     has_stable_range_1, idem_condition_annihilator,
+                     idem_condition_right_sided, idem_sr_condition, idempotents, ideal_sum,
+                     is_abelian, is_clean, is_ic, is_sip, is_ssp, make_zmod,
+                     parse_ring_spec, principal, product_regular_condition,
+                     regular_elements, ring_profile, right_sided_certificate,
+                     sided_condition_variants, special_clean_witnesses,
+                     summand_idempotent, theorem_suite, unimodular_matrix,
+                     unit_regular_witness)
+from ringlab.classify import special_clean_flags
+from ringlab.rings import summand_partners
 
 
 # -- individual predicates -------------------------------------------------------
@@ -271,3 +276,53 @@ def test_witness_replay_ssp_and_abelian(t2z3):
     abel = is_abelian(t2z3).witness
     e, r = abel["idempotent"], abel["element"]
     assert t2z3.mul(e, r) != t2z3.mul(r, e)
+
+
+# -- the summand-partner kernel and the per-ring memo ------------------------------
+
+def _frozenset_partners(ring, sets, a):
+    """Reference scan: idempotents e with S(a) meet S(e) = 0, and those whose
+    S(e) is moreover a direct complement of S(a)."""
+    zero_only = frozenset({ring.zero})
+    disjoint = [e for e in ring.idempotent_list if sets[a] & sets[e] == zero_only]
+    complements = [e for e in disjoint if len(sets[a]) * len(sets[e]) == ring.size]
+    return disjoint, complements
+
+
+@pytest.mark.parametrize("spec", [e.spec for e in default_catalog()] + ["op:M2:Zn:2"])
+def test_summand_partner_kernel_matches_frozenset_scan(spec):
+    ring = parse_ring_spec(spec)
+    for side, sets in (("right", ring.right_principal_sets),
+                       ("left", ring.left_principal_sets)):
+        partners = summand_partners(ring, side)
+        for a in ring.elements():
+            assert tuple(map(list, partners[a])) == _frozenset_partners(ring, sets, a)
+
+    flags = special_clean_flags(ring)
+    for a in ring.elements():
+        disjoint, _ = _frozenset_partners(ring, ring.right_principal_sets, a)
+        special = [e for e in disjoint if ring.sub(a, e) in ring.units]
+        assert [d.idem for d in special_clean_witnesses(ring, a)] == special
+        assert flags[a] == bool(special)
+        clean = is_clean(ring, a)
+        if clean is not None:
+            assert clean.special == (clean.idem in disjoint)
+
+        _, left_complements = _frozenset_partners(ring, ring.left_principal_sets, a)
+        for b in ring.elements():
+            expected = next((e for e in left_complements
+                             if ring.add(a, ring.mul(b, e)) in ring.units), None)
+            assert right_sided_certificate(ring, a, b) == expected
+
+
+def test_ring_and_its_memo_are_freed_together():
+    # T2:Zn:2 is held by no fixture; R2.5 also builds the opposite ring, whose
+    # form refers back to this one
+    ring = parse_ring_spec("T2:Zn:2")
+    ring_profile(ring)
+    for name in SUITE_NAMES:
+        theorem_suite(ring, name)
+    ref = weakref.ref(ring)
+    del ring
+    gc.collect()
+    assert ref() is None
