@@ -14,7 +14,7 @@ import numpy as np
 
 from .elements import regular_elements, regularity_table, unit_regularity_table
 from .ideals import summands_isomorphic
-from .rings import make_opposite, per_ring, row_bitsets, summand_partners
+from .rings import make_opposite, membership, per_ring, row_bitsets, summand_partners
 
 SUITE_NAMES = ("T2.4", "T2.9", "C2.10", "R2.5", "C2.6", "L2.3")
 
@@ -64,23 +64,44 @@ def _annihilator_masks(ring):
     return row_bitsets(ring.mul_table == ring.zero)
 
 
+def _classes(masks):
+    """Label every element by its class of equal bitsets: (labels, reps), with
+    classes numbered in order of first appearance and reps[c] the least
+    element of class c."""
+    index, reps = {}, []
+    labels = np.empty(len(masks), dtype=np.intp)
+    for a, mask in enumerate(masks):
+        if mask not in index:
+            index[mask] = len(reps)
+            reps.append(a)
+        labels[a] = index[mask]
+    return labels, reps
+
+
+def _meets(P, Q):
+    """Boolean table T[i, j] = (the int bitsets P[i] and Q[j] share a bit)."""
+    return np.array([[p & q != 0 for q in Q] for p in P], dtype=bool)
+
+
+def _first_failure(U, ok):
+    """Scan the true cells of U in row-major (a, b) order up to the first one
+    where ok is false: (that cell, or None, and the number of cells scanned)."""
+    fail = (U & ~ok).ravel()
+    i = int(fail.argmax())
+    if not fail[i]:
+        return None, int(np.count_nonzero(U))
+    a, b = divmod(i, U.shape[1])
+    return (a, b), int(np.count_nonzero(U[:a]) + np.count_nonzero(U[a, :b + 1]))
+
+
 @per_ring
 def unimodular_matrix(ring):
-    """Boolean table U[a, b] = (Ra + Rb = R), computed per left-ideal class."""
-    n = ring.size
-    add, one = ring.add_table, ring.one
-    distinct = {}
-    class_idx = np.empty(n, dtype=np.int64)
-    for a in range(n):
-        s = ring.left_principal_sets[a]
-        class_idx[a] = distinct.setdefault(s, len(distinct))
-    reps = [sorted(s) for s in distinct]
-    k = len(reps)
-    table = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(k):
-            table[i, j] = bool((add[np.ix_(reps[i], reps[j])] == one).any())
-    return table[class_idx][:, class_idx]
+    """Boolean table U[a, b] = (Ra + Rb = R), computed per left-ideal class:
+    Ra + Rb = R iff the set 1 - Ra meets Rb."""
+    labels, reps = _classes(ring.left_masks)
+    one_minus = ring.add_table[ring.one, ring.neg_table]
+    one_minus_left = row_bitsets(membership(one_minus[ring.mul_table.T[reps]], ring.size))
+    return _meets(one_minus_left, [ring.left_masks[b] for b in reps])[np.ix_(labels, labels)]
 
 
 @per_ring
@@ -164,45 +185,56 @@ def is_abelian(ring):
 
 @per_ring
 def has_stable_range_1(ring):
-    """Ra + Rb = R always admits z with a + z*b a unit."""
-    U = unimodular_matrix(ring)
-    add, mul = ring.add_table, ring.mul_table
-    flags = ring.unit_flags
-    checked = 0
-    for a in range(ring.size):
-        for b in range(ring.size):
-            if not U[a, b]:
-                continue
-            checked += 1
-            if not flags[add[a, mul[:, b]]].any():
-                return Verdict(False, witness={"pair": [a, b]}, checked=checked)
-    return Verdict(True, checked=checked)
+    """Ra + Rb = R always admits z with a + z*b a unit.
+
+    Whether z exists depends only on the coset a + Rb. So for each left-ideal
+    class Rb every a is labelled by the least member of a + Rb, and (a, b)
+    passes when some unit carries the same label.
+    """
+    labels, reps = _classes(ring.left_masks)
+    units = np.flatnonzero(ring.unit_flags)
+    ok_by_class = np.empty((ring.size, len(reps)), dtype=bool)
+    for c, b in enumerate(reps):
+        coset = ring.add_table[:, np.unique(ring.mul_table[:, b])].min(axis=1)
+        has_unit = np.zeros(ring.size, dtype=bool)
+        has_unit[coset[units]] = True
+        ok_by_class[:, c] = has_unit[coset]
+    cell, checked = _first_failure(unimodular_matrix(ring), ok_by_class[:, labels])
+    if cell is None:
+        return Verdict(True, checked=checked)
+    return Verdict(False, witness={"pair": list(cell)}, checked=checked)
 
 
-def _idem_condition_over_pairs(ring, pairs_iter):
-    """Shared scan: each pair (a, b) needs an idempotent e with a + e*b a unit
-    and aR + eR an internal direct sum equal to R."""
+def _idem_condition_over_pairs(ring, pairs):
+    """Shared scan: each pair (a, b) set in the boolean table `pairs` needs an
+    idempotent e with a + e*b a unit and aR + eR an internal direct sum equal
+    to R. The witness is the first failing pair in row-major order."""
     partners = summand_partners(ring, "right")
-    flags = ring.unit_flags
-    checked = 0
-    for a, b in pairs_iter:
-        checked += 1
-        if not any(flags[ring.add(a, ring.mul(e, b))] for e in partners[a][1]):
-            return Verdict(False,
-                           witness={"pair": [int(a), int(b)],
-                                    "idempotents_tried": list(ring.idempotent_list)},
-                           checked=checked)
-    return Verdict(True, checked=checked)
+    add, mul, units = ring.add_table, ring.mul_table, ring.unit_flags
+    ok = np.zeros(pairs.shape, dtype=bool)
+    for a in np.flatnonzero(pairs.any(axis=1)):
+        complements = list(partners[a][1])
+        if complements:
+            ok[a] = units[add[a][mul[complements]]].any(axis=0)
+    cell, checked = _first_failure(pairs, ok)
+    if cell is None:
+        return Verdict(True, checked=checked)
+    return Verdict(False,
+                   witness={"pair": list(cell),
+                            "idempotents_tried": list(ring.idempotent_list)},
+                   checked=checked)
+
+
+def _regular_pairs(ring):
+    reg, _ = regularity_table(ring)
+    return np.outer(reg, reg)
 
 
 @per_ring
 def idem_sr_condition(ring):
     """For regular a, b with Ra + Rb = R there is an idempotent e with
     a + e*b a unit and aR (+) eR = R."""
-    regs = regular_elements(ring)
-    U = unimodular_matrix(ring)
-    pairs = ((a, b) for a in regs for b in regs if U[a, b])
-    return _idem_condition_over_pairs(ring, pairs)
+    return _idem_condition_over_pairs(ring, unimodular_matrix(ring) & _regular_pairs(ring))
 
 
 @per_ring
@@ -212,16 +244,16 @@ def idem_condition_annihilator(ring):
     The annihilator hypothesis is implied by unimodularity; the verdict extra
     records whether it is strictly wider on this ring, with an example pair.
     """
-    regs = regular_elements(ring)
-    ann = _annihilator_masks(ring)
-    zero_mask = 1 << ring.zero
-    U = unimodular_matrix(ring)
-    pairs = [(a, b) for a in regs for b in regs if ann[a] & ann[b] == zero_mask]
-    verdict = _idem_condition_over_pairs(ring, iter(pairs))
-    wider = next(((a, b) for a, b in pairs if not U[a, b]), None)
+    masks = _annihilator_masks(ring)
+    labels, reps = _classes(masks)
+    ann = [masks[a] for a in reps]
+    nonzero = [m & ~(1 << ring.zero) for m in ann]
+    pairs = ~_meets(nonzero, ann)[np.ix_(labels, labels)] & _regular_pairs(ring)
+    verdict = _idem_condition_over_pairs(ring, pairs)
+    wider, _ = _first_failure(pairs, unimodular_matrix(ring))
     extra = {"hypothesis_wider_than_unimodular": wider is not None}
     if wider is not None:
-        extra["example_pair"] = [int(wider[0]), int(wider[1])]
+        extra["example_pair"] = list(wider)
     return Verdict(verdict.holds, verdict.witness, verdict.checked, extra=extra)
 
 

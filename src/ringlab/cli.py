@@ -2,8 +2,9 @@
 
 Exit codes: 0 when every assertion in the run passed, 1 when an assertion
 failed (the report carries the witnesses), 2 for usage, parse, or capacity
-errors. All subcommands share --format table|json|csv, --cache/--no-cache,
-and --jobs.
+errors and for inputs outside a command's hypotheses (decompose needs a ring
+with ssp and ic, and a regular unimodular pair). All subcommands share
+--format table|json|csv, --cache/--no-cache, and --jobs.
 """
 
 from __future__ import annotations
@@ -140,6 +141,13 @@ def run_decompose(spec, element_text, b_text=None):
     ring = parse_ring_spec(spec)
     a = parse_element(ring, element_text)
     b = parse_element(ring, b_text) if b_text is not None else ring.minus_one()
+    # the construction is proved only on SSP rings with IC; elsewhere a step
+    # may find no candidate, which is a hypothesis violation, not a defect
+    for name, verdict in (("summand-sum closed (ssp)", is_ssp(ring)),
+                          ("internally cancellable (ic)", is_ic(ring))):
+        if not verdict.holds:
+            raise HypothesisViolation(f"{spec} is not {name}; the construction "
+                                      f"needs both ssp and ic")
     trace = solve_unimodular(ring, a, b)
     verification = verify_trace(trace)
     return {

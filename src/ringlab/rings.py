@@ -150,18 +150,12 @@ class FiniteRing:
     @cached_property
     def right_masks(self):
         """right_masks[a] = aR as an int bitset over element indices."""
-        return row_bitsets(self._membership(self.mul_table))
+        return row_bitsets(membership(self.mul_table, self.size))
 
     @cached_property
     def left_masks(self):
         """left_masks[a] = Ra as an int bitset over element indices."""
-        return row_bitsets(self._membership(self.mul_table.T))
-
-    def _membership(self, rows):
-        """Boolean matrix with [a, v] set iff v occurs in rows[a]."""
-        hits = np.zeros((self.size, self.size), dtype=bool)
-        hits[np.arange(self.size)[:, None], rows] = True
-        return hits
+        return row_bitsets(membership(self.mul_table.T, self.size))
 
     # -- exhaustive table checks --------------------------------------------
 
@@ -198,6 +192,13 @@ class FiniteRing:
             if not np.array_equal(m[a[i]], a[m[i][None, :], m]):
                 raise ValueError(f"right distributivity fails (row {i})")
         return True
+
+
+def membership(rows, size):
+    """Boolean matrix with [i, v] set iff v occurs in rows[i], for v < size."""
+    hits = np.zeros((len(rows), size), dtype=bool)
+    hits[np.arange(len(rows))[:, None], rows] = True
+    return hits
 
 
 def row_bitsets(flags):

@@ -1,10 +1,15 @@
 """Naive brute-force oracles used to freeze expected values.
 
-Everything here works by direct enumeration over plain integers or tuple
-matrices, independently of the library's search logic.
+Everything here works by direct enumeration over plain integers, tuple
+matrices or a ring's operation tables, independently of the library's search
+logic.
 """
 
 import itertools
+
+import numpy as np
+
+from ringlab import Verdict
 
 
 # -- integers mod n ------------------------------------------------------------
@@ -94,3 +99,84 @@ def subsets_right_ideals(add_table, mul_table, zero, size):
         if closed:
             out.append(frozenset(subset))
     return set(out)
+
+
+# -- pair scans over a ring's tables ----------------------------------------------
+#
+# The per-pair loops the class-level kernels of ringlab.classify replaced,
+# kept as references: same scan order, same witnesses, same `checked` counts.
+
+
+def unimodular_table(ring):
+    """U[a, b] = (Ra + Rb = R), testing 1 in Ra + Rb per left-ideal class."""
+    n = ring.size
+    distinct = {}
+    class_idx = np.empty(n, dtype=np.int64)
+    for a in range(n):
+        class_idx[a] = distinct.setdefault(ring.left_principal_sets[a], len(distinct))
+    reps = [sorted(s) for s in distinct]
+    table = np.zeros((len(reps), len(reps)), dtype=bool)
+    for i, Ri in enumerate(reps):
+        for j, Rj in enumerate(reps):
+            table[i, j] = bool((ring.add_table[np.ix_(Ri, Rj)] == ring.one).any())
+    return table[class_idx][:, class_idx]
+
+
+def stable_range_1_scan(ring):
+    """Every unimodular pair (a, b) has z with a + z*b a unit."""
+    U = unimodular_table(ring)
+    checked = 0
+    for a in range(ring.size):
+        for b in range(ring.size):
+            if not U[a, b]:
+                continue
+            checked += 1
+            if not ring.unit_flags[ring.add_table[a, ring.mul_table[:, b]]].any():
+                return Verdict(False, witness={"pair": [a, b]}, checked=checked)
+    return Verdict(True, checked=checked)
+
+
+def _right_complements(ring, a):
+    """Idempotents e (index order) with aR (+) eR = R, from the frozensets."""
+    sets, zero_only = ring.right_principal_sets, frozenset({ring.zero})
+    return [e for e in ring.idempotent_list
+            if sets[a] & sets[e] == zero_only and len(sets[a]) * len(sets[e]) == ring.size]
+
+
+def _idem_scan(ring, pairs):
+    checked = 0
+    for a, b in pairs:
+        checked += 1
+        if not any(ring.add(a, ring.mul(e, b)) in ring.units
+                   for e in _right_complements(ring, a)):
+            return Verdict(False, witness={"pair": [a, b],
+                                           "idempotents_tried": list(ring.idempotent_list)},
+                           checked=checked)
+    return Verdict(True, checked=checked)
+
+
+def _regulars(ring):
+    return [a for a in range(ring.size)
+            if any(ring.mul(ring.mul(a, x), a) == a for x in range(ring.size))]
+
+
+def idem_sr_scan(ring):
+    """Regular unimodular pairs each have an idempotent e with a + e*b a unit
+    and aR (+) eR = R."""
+    regs, U = _regulars(ring), unimodular_table(ring)
+    return _idem_scan(ring, [(a, b) for a in regs for b in regs if U[a, b]])
+
+
+def idem_annihilator_scan(ring):
+    """The same conclusion over regular pairs with r(a) meet r(b) = 0, with
+    the first such pair that is not unimodular as the extra's example."""
+    regs, U = _regulars(ring), unimodular_table(ring)
+    ann = [frozenset(r for r in range(ring.size) if ring.mul(a, r) == ring.zero)
+           for a in range(ring.size)]
+    pairs = [(a, b) for a in regs for b in regs if ann[a] & ann[b] == {ring.zero}]
+    verdict = _idem_scan(ring, pairs)
+    wider = next(([a, b] for a, b in pairs if not U[a, b]), None)
+    extra = {"hypothesis_wider_than_unimodular": wider is not None}
+    if wider is not None:
+        extra["example_pair"] = wider
+    return Verdict(verdict.holds, verdict.witness, verdict.checked, extra=extra)

@@ -3,9 +3,9 @@ import os
 
 import pytest
 
-from ringlab import (CapacityError, CatalogEntry, SpecParseError, default_catalog,
-                     format_element, load_catalog, parse_element, parse_ring_spec,
-                     ring_profile, verify_entry_tags)
+from ringlab import (CapacityError, CatalogEntry, ConstructionAbort, SpecParseError,
+                     default_catalog, format_element, load_catalog, parse_element,
+                     parse_ring_spec, ring_profile, solve_unimodular, verify_entry_tags)
 from ringlab.cache import ResultCache, default_cache_path
 from ringlab.cli import main, parse_property_expr, run_hunt, run_verify
 from ringlab.reports import strip_timing
@@ -182,6 +182,22 @@ def test_cli_decompose_rejects_bad_element(capsys):
     code, _ = run_cli(capsys, "decompose", "--ring", "Zn:4", "--element", "2",
                       "--no-cache")
     assert code == 2  # 2 is not regular mod 4: hypothesis violation is a usage error
+
+
+def test_cli_decompose_outside_the_hypotheses_is_a_usage_error(capsys):
+    # T2:Zn:3 is not SSP: on this regular unimodular pair the construction
+    # finds no candidate at step 9, which is no defect of the code
+    ring = parse_ring_spec("T2:Zn:3")
+    a, b = format_element(ring, 9), format_element(ring, 4)
+    with pytest.raises(ConstructionAbort) as exc:
+        solve_unimodular(ring, 9, 4)
+    assert exc.value.step == 9
+    code = main(["decompose", "--ring", "T2:Zn:3", "--element", a, "--b", b, "--no-cache"])
+    assert code == 2
+    assert "not summand-sum closed (ssp)" in capsys.readouterr().err
+    code, _ = run_cli(capsys, "decompose", "--ring", "Zn:6", "--element", "3",
+                      "--b", "2", "--no-cache")
+    assert code == 0
 
 
 def test_cli_verify_table(capsys):

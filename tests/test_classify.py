@@ -2,6 +2,7 @@ import gc
 import json
 import weakref
 
+import numpy as np
 import pytest
 
 import oracles
@@ -14,8 +15,8 @@ from ringlab import (SUITE_NAMES, default_catalog, direct_sum_cancellation,
                      sided_condition_variants, special_clean_witnesses,
                      summand_idempotent, theorem_suite, unimodular_matrix,
                      unit_regular_witness)
-from ringlab.classify import special_clean_flags
-from ringlab.rings import summand_partners
+from ringlab.classify import _first_failure, special_clean_flags
+from ringlab.rings import make_opposite, summand_partners
 
 
 # -- individual predicates -------------------------------------------------------
@@ -92,6 +93,80 @@ def test_unimodular_matrix_noncommutative_oracle(m2z2):
             expect = any(m2z2.add(m2z2.mul(r, a), m2z2.mul(s, b)) == m2z2.one
                          for r in range(n) for s in range(n))
             assert bool(U[a, b]) == expect
+
+
+# -- class-level pair kernels against the per-pair scans -------------------------
+
+# the annihilator variant fails on exactly these rings of the list below, so
+# they cover the witness path of the idempotent-condition kernel
+ANNIHILATOR_FAILS = {"T2:Zn:2", "T2:Zn:3", "T2:Zn:4", "T3:Zn:2", "op:T2:Zn:3", "op:T2:Zn:4"}
+
+
+@pytest.mark.parametrize("spec", [e.spec for e in default_catalog()]
+                         + ["op:M2:Zn:2", "T2:Zn:2", "T2:Zn:4", "T3:Zn:2", "op:T2:Zn:4"])
+def test_pair_kernels_match_the_pair_scans(spec):
+    ring = parse_ring_spec(spec)
+    assert np.array_equal(unimodular_matrix(ring), oracles.unimodular_table(ring))
+    assert has_stable_range_1(ring) == oracles.stable_range_1_scan(ring)
+    assert idem_sr_condition(ring) == oracles.idem_sr_scan(ring)
+    ann = idem_condition_annihilator(ring)
+    assert ann == oracles.idem_annihilator_scan(ring)
+    assert ann.holds is (spec not in ANNIHILATOR_FAILS)
+    right = idem_condition_right_sided(ring)
+    expected = oracles.idem_sr_scan(make_opposite(ring))
+    assert (right.holds, right.witness, right.checked) == \
+        (expected.holds, expected.witness, expected.checked)
+
+
+def test_first_failure_counts_the_cells_scanned():
+    U = np.array([[1, 0, 1, 1],
+                  [0, 1, 1, 1],
+                  [1, 1, 0, 1]], dtype=bool)
+    ok = np.ones_like(U)
+    ok[0, 1] = False  # not a pair: never a failure
+    ok[1, 2] = False  # first failure, in the middle of a row
+    ok[2, 3] = False
+    # scanned: (0,0) (0,2) (0,3) (1,1) (1,2)
+    assert _first_failure(U, ok) == ((1, 2), 5)
+    ok[1, 2] = ok[2, 3] = True
+    assert _first_failure(U, ok) == (None, 9)
+
+
+@pytest.mark.parametrize("spec, sr1_checked, idem_sr_checked", [
+    ("M3:Zn:2", 234360, 234360),
+    ("M2:Zn:5", 386880, 386880),
+    ("T2:Zn:9", 419904, 181440),
+    ("M2:Zn:4", 53760, 26688),
+])
+def test_larger_rungs_counts_and_theorem_canaries(spec, sr1_checked, idem_sr_checked):
+    ring = parse_ring_spec(spec)
+    # finite rings have stable range one (Bass), hence IC, and are clean
+    # (Camillo-Yu)
+    sr1 = has_stable_range_1(ring)
+    assert sr1.holds and sr1.checked == sr1_checked
+    assert idem_sr_condition(ring).checked == idem_sr_checked
+    assert is_ic(ring).holds
+    assert all(is_clean(ring, a) is not None for a in ring.elements())
+
+
+def _holds_and_checked(spec):
+    profile = ring_profile(parse_ring_spec(spec)).to_json()
+    return {key: (v["holds"], v["checked"]) if isinstance(v, dict) else v
+            for key, v in profile.items() if key not in ("ring", "size")}
+
+
+@pytest.mark.parametrize("spec, same_as", [
+    ("prod:Zn:2+Zn:3", "Zn:6"),
+    ("M1:Zn:6", "Zn:6"),
+    ("T1:Zn:6", "Zn:6"),
+    ("op:op:T2:Zn:3", "T2:Zn:3"),
+    ("op:op:T3:Zn:2", "T3:Zn:2"),
+    ("op:op:M2:Zn:2", "M2:Zn:2"),
+    ("op:Zn:12", "Zn:12"),
+    ("op:prod:Zn:2+Zn:4", "prod:Zn:2+Zn:4"),
+])
+def test_isomorphic_constructions_have_equal_profiles(spec, same_as):
+    assert _holds_and_checked(spec) == _holds_and_checked(same_as)
 
 
 # -- the idempotent unimodular conditions ---------------------------------------
