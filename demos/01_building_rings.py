@@ -8,8 +8,8 @@ the full set of ring axioms on demand.
 
 import numpy as np
 
-from ringlab import (idempotents, make_matrix_ring, make_opposite, make_product,
-                     make_triangular_ring, make_zmod, units)
+from ringlab import (make_matrix_ring, make_opposite, make_product, make_triangular_ring,
+                     make_zmod)
 
 print("== integers mod 6 ==")
 z6 = make_zmod(6)
@@ -17,16 +17,16 @@ z6.validate()
 print("spec:", z6.spec, " size:", z6.size)
 print("addition table:\n", z6.add_table)
 print("multiplication table:\n", z6.mul_table)
-print("units:", sorted(units(z6).members), " with inverses:", units(z6).inverse_map)
-print("idempotents:", idempotents(z6))
+print("units:", sorted(z6.units.members), " with inverses:", z6.units.inverse_map)
+print("idempotents:", list(z6.idempotent_list))
 
 print("\n== 2x2 matrices over Z_2 ==")
 m2 = make_matrix_ring(2, make_zmod(2))
 m2.validate()
 print("spec:", m2.spec, " size:", m2.size)
 print("the identity matrix sits at index", m2.one)
-print("unit group order:", len(units(m2)), " (the invertible 2x2 matrices over Z_2)")
-print("idempotent count:", len(idempotents(m2)))
+print("unit group order:", len(m2.units), " (the invertible 2x2 matrices over Z_2)")
+print("idempotent count:", len(m2.idempotent_list))
 
 print("\n== upper-triangular 2x2 matrices over Z_3 ==")
 t2 = make_triangular_ring(2, make_zmod(3))
@@ -36,7 +36,7 @@ print("spec:", t2.spec, " size:", t2.size)
 print("\n== products and opposites ==")
 prod = make_product([make_zmod(2), make_zmod(3)])
 print("spec:", prod.spec, " size:", prod.size,
-      " idempotents:", len(idempotents(prod)))
+      " idempotents:", len(prod.idempotent_list))
 
 op = make_opposite(t2)
 print("opposite of", t2.spec, "reverses multiplication:",

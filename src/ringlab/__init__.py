@@ -33,6 +33,5 @@ from .ideals import (ModuleHom, RightIdeal, all_right_ideals,
                      reconstruct_common_complement, right_annihilator,
                      summand_idempotent, summands_isomorphic)
 from .rings import (DEFAULT_SIZE_CAP, FiniteRing, RingElement, UnitSet,
-                    element_from_obj, element_repr, element_to_obj, idempotents,
-                    make_matrix_ring, make_opposite, make_product,
-                    make_triangular_ring, make_zmod, units)
+                    element_from_obj, element_repr, element_to_obj, make_matrix_ring,
+                    make_opposite, make_product, make_triangular_ring, make_zmod)

@@ -109,8 +109,9 @@ def solve_unimodular(ring, a, b):
     xa, ax = ring.mul(x, a), ring.mul(a, x)
     kernel_gen = ring.one_minus(xa)
     g = ring.one_minus(ax)
+    zero = 1 << ring.zero
     K = right_annihilator(ring, a)
-    _require(K.members == ring.right_principal_sets[kernel_gen], 2,
+    _require(K.mask == ring.right_masks[kernel_gen], 2,
              "r(a) differs from (1-xa)R")
     D, I, C = principal(ring, xa), principal(ring, a), principal(ring, g)
     _require(is_direct_pair(K, D), 2, "R != r(a) (+) xaR")
@@ -120,7 +121,7 @@ def solve_unimodular(ring, a, b):
 
     # step 3: b embeds the kernel
     rb = right_annihilator(ring, b)
-    _require(K.members & rb.members == frozenset({ring.zero}), 3,
+    _require(K.mask & rb.mask == zero, 3,
              "r(a) meets r(b) nontrivially")
     c0 = ring.mul(b, kernel_gen)
     bK = principal(ring, c0)
@@ -135,7 +136,7 @@ def solve_unimodular(ring, a, b):
     fR = principal(ring, f)
 
     # steps 5-6: complement of the overlap of the two summands
-    kernel_equals_cokernel = K.members == C.members
+    kernel_equals_cokernel = K.mask == C.mask
     S = ideal_intersect(fR, C)
     comps = direct_complements(S)
     _require(bool(comps), 6, "fR meet gR is not a direct summand (summand "
@@ -145,9 +146,9 @@ def solve_unimodular(ring, a, b):
     # step 7: match the halves lying inside L
     fL = ideal_intersect(fR, L)
     gL = ideal_intersect(C, L)
-    _require(len(S) * len(fL) == len(fR) and S.members & fL.members == frozenset({ring.zero}),
+    _require(len(S) * len(fL) == len(fR) and S.mask & fL.mask == zero,
              7, "fR does not split over its overlap with gR")
-    _require(len(S) * len(gL) == len(C) and S.members & gL.members == frozenset({ring.zero}),
+    _require(len(S) * len(gL) == len(C) and S.mask & gL.mask == zero,
              7, "gR does not split over its overlap with fR")
     isos = hom_search(fL, gL, require_iso=True)
     _require(bool(isos), 7, "no isomorphism between the complementary halves")
@@ -158,15 +159,15 @@ def solve_unimodular(ring, a, b):
     T = ideal_sum(fR, C)
     _require(ideal_sum(fR, E) == T and ideal_sum(C, E) == T, 8,
              "graph does not recover fR + gR")
-    _require(fR.members & E.members == frozenset({ring.zero}), 8, "fR meets the graph")
-    _require(C.members & E.members == frozenset({ring.zero}), 8, "gR meets the graph")
+    _require(fR.mask & E.mask == zero, 8, "fR meets the graph")
+    _require(C.mask & E.mask == zero, 8, "gR meets the graph")
 
     # step 9: summand-sum closure supplies the outer complement
     comps2 = direct_complements(T)
     _require(bool(comps2), 9, "fR + gR is not a direct summand")
     F = comps2[0]
     W = ideal_sum(E, F)
-    _require(E.members & F.members == frozenset({ring.zero}), 9, "E meets F")
+    _require(E.mask & F.mask == zero, 9, "E meets F")
     _require(is_direct_pair(bK, W), 9, "E (+) F does not complement bK")
     _require(is_direct_pair(C, W), 9, "E (+) F does not complement the cokernel")
 
@@ -242,7 +243,7 @@ def verify_trace(trace):
     primitives; returns a per-check report plus an overall flag."""
     ring = trace.ring
     a, b, x = trace.a, trace.b, trace.x
-    zero_only = frozenset({ring.zero})
+    zero = 1 << ring.zero
     checks = {}
 
     def mul3(p, q, r):
@@ -255,7 +256,7 @@ def verify_trace(trace):
     checks["kernel_generator"] = trace.kernel_gen == ring.one_minus(xa)
     checks["cokernel_generator"] = trace.g == ring.one_minus(ax)
     checks["kernel_ideal"] = (trace.K == right_annihilator(ring, a)
-                              and trace.K.members == ring.right_principal_sets[trace.kernel_gen])
+                              and trace.K.mask == ring.right_masks[trace.kernel_gen])
     checks["coimage_ideal"] = trace.D == principal(ring, xa)
     checks["image_ideal"] = trace.I == principal(ring, a)
     checks["cokernel_ideal"] = trace.C == principal(ring, trace.g)
@@ -266,13 +267,13 @@ def verify_trace(trace):
     checks["a_isomorphism_on_coimage"] = a_restr.is_bijective()
 
     rb = right_annihilator(ring, b)
-    checks["kernel_meets_rb_trivially"] = trace.K.members & rb.members == zero_only
+    checks["kernel_meets_rb_trivially"] = trace.K.mask & rb.mask == zero
     checks["bK_ideal"] = trace.bK == principal(ring, ring.mul(b, trace.kernel_gen))
     b_restr = left_multiplication_hom(b, trace.K, target=trace.bK)
     checks["b_isomorphism_on_kernel"] = b_restr.is_bijective()
 
     checks["f_idempotent"] = ring.is_idempotent(trace.f)
-    checks["f_generates_bK"] = ring.right_principal_sets[trace.f] == trace.bK.members
+    checks["f_generates_bK"] = ring.right_masks[trace.f] == trace.bK.mask
 
     fR = principal(ring, trace.f)
     S = ideal_intersect(fR, trace.C)
@@ -292,25 +293,24 @@ def verify_trace(trace):
     T = ideal_sum(fR, trace.C)
     checks["graph_realigns_sum"] = (ideal_sum(fR, trace.E) == T
                                     and ideal_sum(trace.C, trace.E) == T
-                                    and fR.members & trace.E.members == zero_only
-                                    and trace.C.members & trace.E.members == zero_only)
+                                    and fR.mask & trace.E.mask == zero
+                                    and trace.C.mask & trace.E.mask == zero)
     checks["F_complements_sum"] = is_direct_pair(T, trace.F)
 
     W = ideal_sum(trace.E, trace.F)
-    checks["common_complement"] = (trace.E.members & trace.F.members == zero_only
+    checks["common_complement"] = (trace.E.mask & trace.F.mask == zero
                                    and is_direct_pair(trace.bK, W)
                                    and is_direct_pair(trace.C, W))
 
     checks["e_idempotent"] = ring.is_idempotent(trace.e)
-    checks["e_generates_cokernel"] = ring.right_principal_sets[trace.e] == trace.C.members
-    proj = {y: ring.mul(trace.e, y) for y in trace.bK.members}
-    checks["e_isomorphism_on_bK"] = (set(proj.values()) == trace.C.members
-                                     and len(set(proj.values())) == len(trace.bK.members))
+    checks["e_generates_cokernel"] = ring.right_masks[trace.e] == trace.C.mask
+    proj = {ring.mul(trace.e, y) for y in trace.bK.sorted_members}
+    checks["e_isomorphism_on_bK"] = proj == trace.C.members and len(proj) == len(trace.bK)
 
     checks["unit_value"] = trace.unit == ring.add(a, ring.mul(trace.e, b))
     checks["unit_invertible"] = trace.unit in ring.units
     checks["image_projection_split"] = is_direct_pair(trace.I, principal(ring, trace.e))
     checks["kernel_cokernel_equality_recorded"] = (
-        trace.kernel_equals_cokernel == (trace.K.members == trace.C.members))
+        trace.kernel_equals_cokernel == (trace.K.mask == trace.C.mask))
 
     return {"checks": checks, "all_passed": all(checks.values())}

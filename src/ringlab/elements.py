@@ -144,7 +144,7 @@ def unit_inverse_from_special_clean(ring, d):
     # a*u^-1*e equals e*u^-1*e + e, placing it in aR and eR simultaneously
     if t != ring.add(ring.mul(ring.mul(e, u_inv), e), e):
         raise InvariantViolation("derivation identity a*u^-1*e = e*u^-1*e + e failed")
-    if t not in ring.right_principal_sets[a] or t not in ring.right_principal_sets[e]:
+    if not ring.right_masks[a] >> t & 1 or not ring.right_masks[e] >> t & 1:
         raise InvariantViolation("a*u^-1*e escaped aR or eR")
     if t != ring.zero:
         raise InvariantViolation("aR meet eR contains a nonzero element; not special clean")

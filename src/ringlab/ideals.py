@@ -1,7 +1,8 @@
 """Right ideals of a finite ring, viewed as right modules.
 
-Ideals are stored extensionally (a frozenset of element indices) together
-with a generator list, so equality and direct-sum checks are set operations.
+An ideal is stored as an int bitset over element indices (the ring's own
+membership representation, as in FiniteRing.right_masks) together with a
+generator list, so equality, meets and direct-sum checks are int operations.
 Module homomorphisms between ideals are stored as explicit graphs and
 validated for additivity and right-equivariance.
 """
@@ -15,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvariantViolation, RingMismatchError, SearchBudgetExceeded
-from .rings import FiniteRing
+from .rings import FiniteRing, bits, bitset
 
 HOM_SEARCH_CANDIDATE_LIMIT = 10 ** 7
 
@@ -26,36 +27,28 @@ def _same_ring(a, b):
     return a.ring
 
 
-def additive_closure(ring, items):
-    """Smallest subset containing 0 and the items that is closed under +."""
-    add = ring.add_table
-    span = {ring.zero} | {int(x) for x in items}
+def additive_closure(ring, mask):
+    """Bitset of the smallest subset containing 0 and mask that is closed under +."""
+    span = mask | 1 << ring.zero
     while True:
-        arr = sorted(span)
-        grown = {int(v) for v in np.unique(add[np.ix_(arr, arr)])}
-        if grown <= span:
-            return frozenset(span)
-        span |= grown
+        arr = bits(span)
+        grown = span | bitset(ring.add_table[np.ix_(arr, arr)], ring.size)
+        if grown == span:
+            return span
+        span = grown
 
 
-def right_closure(ring, generators):
-    """The right ideal generated by the given elements."""
-    if not generators:
-        return frozenset({ring.zero})
-    rows = np.unique(ring.mul_table[sorted(set(generators))])
-    return additive_closure(ring, (int(v) for v in rows))
-
-
-def minimal_generators(ring, members):
-    """Least-index greedy spanning subset of an ideal's member set."""
+def minimal_generators(ring, mask):
+    """Least-index greedy spanning subset of an ideal's member bitset; the
+    span differs from the bitset exactly when it is not a right ideal."""
     gens = []
-    span = frozenset({ring.zero})
-    for m in sorted(members):
-        if m not in span:
-            gens.append(int(m))
-            span = right_closure(ring, gens)
-    if span != frozenset(members):
-        raise InvariantViolation("member set is not a right ideal")
+    span = 1 << ring.zero
+    for m in bits(mask):
+        if not span >> m & 1:
+            gens.append(m)
+            span = additive_closure(ring, span | ring.right_masks[m])
+    if span != mask:
+        raise InvariantViolation("member set is not closed as a right ideal")
     return tuple(gens)
 
 
@@ -64,64 +57,62 @@ class RightIdeal:
     """A subset closed under addition and right multiplication, with generators."""
 
     ring: FiniteRing
-    members: frozenset
+    mask: int
     generators: tuple
 
     @classmethod
     def from_members(cls, ring, members, generators=None):
-        members = frozenset(int(m) for m in members)
-        arr = sorted(members)
-        add_img = {int(v) for v in np.unique(ring.add_table[np.ix_(arr, arr)])}
-        mul_img = {int(v) for v in np.unique(ring.mul_table[arr])}
-        if ring.zero not in members or not add_img <= members or not mul_img <= members:
-            raise InvariantViolation("member set is not closed as a right ideal")
-        if generators is None:
-            generators = minimal_generators(ring, members)
-        return cls(ring, members, tuple(int(g) for g in generators))
+        mask = bitset(list(members), ring.size)
+        least = minimal_generators(ring, mask)  # also the closure check
+        return cls(ring, mask, least if generators is None else tuple(map(int, generators)))
 
     @classmethod
     def zero_ideal(cls, ring):
-        return cls(ring, frozenset({ring.zero}), ())
+        return cls(ring, 1 << ring.zero, ())
 
     @classmethod
     def full_ideal(cls, ring):
-        return cls(ring, frozenset(range(ring.size)), (ring.one,))
+        return cls(ring, (1 << ring.size) - 1, (ring.one,))
+
+    @cached_property
+    def sorted_members(self):
+        return bits(self.mask)
+
+    @cached_property
+    def members(self):
+        return frozenset(self.sorted_members)
 
     def __len__(self):
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __contains__(self, idx):
-        return idx in self.members
+        return bool(self.mask >> idx & 1)
 
     def __eq__(self, other):
         if not isinstance(other, RightIdeal):
             return NotImplemented
-        return self.ring.spec == other.ring.spec and self.members == other.members
+        return self.ring.spec == other.ring.spec and self.mask == other.mask
 
     def __hash__(self):
-        return hash((self.ring.spec, self.members))
+        return hash((self.ring.spec, self.mask))
 
     def __repr__(self):
-        shown = sorted(self.members)
+        shown = list(self.sorted_members)
         if len(shown) > 12:
             shown = shown[:12] + ["..."]
-        return f"RightIdeal({self.ring.spec}, size={len(self.members)}, members={shown})"
-
-    @cached_property
-    def sorted_members(self):
-        return tuple(sorted(self.members))
+        return f"RightIdeal({self.ring.spec}, size={len(self)}, members={shown})"
 
     def is_zero(self):
-        return self.members == frozenset({self.ring.zero})
+        return self.mask == 1 << self.ring.zero
 
     def is_full(self):
-        return len(self.members) == self.ring.size
+        return len(self) == self.ring.size
 
     def to_json(self):
         return {
             "ring": self.ring.spec,
             "generators": [int(g) for g in self.generators],
-            "members": [int(m) for m in self.sorted_members],
+            "members": list(self.sorted_members),
         }
 
 
@@ -155,7 +146,7 @@ class ModuleHom:
         return True
 
     def is_bijective(self):
-        return (len(self.source.members) == len(self.target.members)
+        return (len(self.source) == len(self.target)
                 and set(self.mapping.values()) == self.target.members)
 
     def to_json(self):
@@ -167,15 +158,15 @@ class ModuleHom:
 
 
 def identity_hom(A):
-    return ModuleHom(A, A, {s: s for s in A.members})
+    return ModuleHom(A, A, {s: s for s in A.sorted_members})
 
 
 def left_multiplication_hom(c, A, target=None):
     """The map x -> c*x restricted to A (always additive and equivariant)."""
     ring = A.ring
-    mapping = {s: ring.mul(c, s) for s in A.members}
+    mapping = {s: ring.mul(c, s) for s in A.sorted_members}
     if target is None:
-        target = RightIdeal.from_members(ring, set(mapping.values()))
+        target = RightIdeal.from_members(ring, mapping.values())
     return ModuleHom(A, target, mapping)
 
 
@@ -184,66 +175,49 @@ def left_multiplication_hom(c, A, target=None):
 
 def principal(ring, a):
     """The right ideal aR = {a*r : r in R}."""
-    return RightIdeal(ring, ring.right_principal_sets[a], (int(a),))
+    return RightIdeal(ring, ring.right_masks[a], (int(a),))
 
 
 def right_annihilator(ring, a):
     """{r : a*r = 0}; always a right ideal."""
-    members = frozenset(int(r) for r in np.flatnonzero(ring.mul_table[a] == ring.zero))
-    return RightIdeal.from_members(ring, members)
+    return RightIdeal.from_members(ring, np.flatnonzero(ring.mul_table[a] == ring.zero))
 
 
 def ideal_sum(A, B):
     """{x + y : x in A, y in B}; generators are concatenated."""
     ring = _same_ring(A, B)
-    members = frozenset(
-        int(v) for v in np.unique(
-            ring.add_table[np.ix_(A.sorted_members, B.sorted_members)]))
-    return RightIdeal(ring, members, A.generators + B.generators)
+    mask = bitset(ring.add_table[np.ix_(A.sorted_members, B.sorted_members)], ring.size)
+    return RightIdeal(ring, mask, A.generators + B.generators)
 
 
 def ideal_intersect(A, B):
     """Set intersection, with generators recomputed least-index greedily."""
     ring = _same_ring(A, B)
-    members = A.members & B.members
-    return RightIdeal(ring, members, minimal_generators(ring, members))
+    mask = A.mask & B.mask
+    return RightIdeal(ring, mask, minimal_generators(ring, mask))
 
 
 def is_direct_pair(A, B):
     """True iff A + B = R and A intersect B = 0."""
     ring = _same_ring(A, B)
-    return (A.members & B.members == frozenset({ring.zero})
-            and len(A.members) * len(B.members) == ring.size)
+    return A.mask & B.mask == 1 << ring.zero and len(A) * len(B) == ring.size
 
 
 def summand_idempotent(A):
     """Least idempotent e with eR = A, or None when A is not a direct summand."""
-    ring = A.ring
-    for e in ring.idempotent_list:
-        if ring.right_principal_sets[e] == A.members:
-            return int(e)
-    return None
+    return A.ring.summand_table.get(A.mask)
 
 
 def direct_complements(A):
     """All right ideals B with A + B = R and A intersect B = 0.
 
     Complements of a summand are themselves summands, so the scan runs over
-    idempotent-generated ideals; results are ordered by their least
-    generating idempotent.
+    the summand table; results are ordered by their least generating
+    idempotent.
     """
     ring = A.ring
-    zero_only = frozenset({ring.zero})
-    n = ring.size
-    found = {}
-    for f in ring.idempotent_list:
-        S = ring.right_principal_sets[f]
-        if S in found:
-            continue
-        if A.members & S == zero_only and len(A.members) * len(S) == n:
-            found[S] = f
-    ordered = sorted(found.items(), key=lambda kv: kv[1])
-    return [RightIdeal(ring, S, (int(f),)) for S, f in ordered]
+    return [RightIdeal(ring, S, (f,)) for S, f in ring.summand_table.items()
+            if A.mask & S == 1 << ring.zero and len(A) * S.bit_count() == ring.size]
 
 
 def _extend_hom(ring, gens, images, source_members):
@@ -288,7 +262,7 @@ def hom_search(A, B, require_iso=False, max_candidates=HOM_SEARCH_CANDIDATE_LIMI
     extended additively and equivariantly; every returned map is validated.
     """
     ring = _same_ring(A, B)
-    if require_iso and len(A.members) != len(B.members):
+    if require_iso and len(A) != len(B):
         return []
     gens = A.generators
     if not gens:
@@ -297,7 +271,7 @@ def hom_search(A, B, require_iso=False, max_candidates=HOM_SEARCH_CANDIDATE_LIMI
         hom = ModuleHom(A, B, {ring.zero: ring.zero})
         hom.validate()
         return [hom]
-    count = len(B.members) ** len(gens)
+    count = len(B) ** len(gens)
     if count > max_candidates:
         raise SearchBudgetExceeded(
             f"{count} candidate assignments exceed the limit of {max_candidates}")
@@ -339,11 +313,11 @@ def common_complement_idempotent(A, B):
     """
     ring = _same_ring(A, B)
     for e in ring.idempotent_list:
-        if ring.right_principal_sets[e] != A.members:
+        if ring.right_masks[e] != A.mask:
             continue
-        mapping = {y: ring.mul(e, y) for y in B.members}
+        mapping = {y: ring.mul(e, y) for y in B.sorted_members}
         values = set(mapping.values())
-        if values == A.members and len(values) == len(B.members):
+        if values == A.members and len(values) == len(B):
             return int(e), ModuleHom(B, A, mapping)
     return None
 
@@ -368,7 +342,7 @@ def graph_module(phi):
     """
     ring = _same_ring(phi.source, phi.target)
     try:
-        members = {ring.add(x, phi.mapping[x]) for x in phi.source.members}
+        members = [ring.add(x, phi.mapping[x]) for x in phi.source.sorted_members]
     except KeyError as exc:
         raise InvariantViolation("map is not total on its source") from exc
     try:
@@ -384,20 +358,18 @@ def all_right_ideals(ring):
     Worklist saturation over adding one principal ideal at a time; intended
     for the small rings where exhaustive lattice checks run.
     """
-    zero = frozenset({ring.zero})
+    zero = 1 << ring.zero
     found = {zero}
     work = [zero]
     while work:
         base = work.pop()
-        base_sorted = sorted(base)
         for a in range(ring.size):
-            if a in base:
+            if base >> a & 1:
                 continue
-            grown = additive_closure(
-                ring, itertools.chain(base_sorted, ring.right_principal_sets[a]))
+            grown = additive_closure(ring, base | ring.right_masks[a])
             if grown not in found:
                 found.add(grown)
                 work.append(grown)
-    ideals = [RightIdeal.from_members(ring, m) for m in found]
-    ideals.sort(key=lambda I: (len(I.members), I.sorted_members))
+    ideals = [RightIdeal(ring, m, minimal_generators(ring, m)) for m in found]
+    ideals.sort(key=lambda I: (len(I), I.sorted_members))
     return ideals

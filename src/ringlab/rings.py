@@ -137,25 +137,38 @@ class FiniteRing:
 
     @cached_property
     def right_principal_sets(self):
-        """right_principal_sets[a] = frozenset(aR)."""
+        """right_principal_sets[a] = frozenset(aR). A reference for the tests'
+        oracles, decompose.idempotent_witness_set and the benchmark's set-up;
+        no command path reads it."""
         return tuple(frozenset(int(v) for v in np.unique(self.mul_table[a]))
                      for a in range(self.size))
 
     @cached_property
     def left_principal_sets(self):
-        """left_principal_sets[a] = frozenset(Ra)."""
+        """left_principal_sets[a] = frozenset(Ra). A reference like
+        right_principal_sets; no command path reads it."""
         return tuple(frozenset(int(v) for v in np.unique(self.mul_table[:, a]))
                      for a in range(self.size))
 
     @cached_property
     def right_masks(self):
-        """right_masks[a] = aR as an int bitset over element indices."""
+        """right_masks[a] = aR as an int bitset over element indices: the
+        membership representation every command path reads."""
         return row_bitsets(membership(self.mul_table, self.size))
 
     @cached_property
     def left_masks(self):
         """left_masks[a] = Ra as an int bitset over element indices."""
         return row_bitsets(membership(self.mul_table.T, self.size))
+
+    @cached_property
+    def summand_table(self):
+        """{eR bitset: least idempotent e generating it}, one entry per direct
+        summand of the right regular module, in idempotent index order."""
+        table = {}
+        for e in self.idempotent_list:
+            table.setdefault(self.right_masks[e], e)
+        return table
 
     # -- exhaustive table checks --------------------------------------------
 
@@ -205,6 +218,17 @@ def row_bitsets(flags):
     """Each row of a boolean matrix as an int with bit j set iff flags[row, j]."""
     packed = np.packbits(flags, axis=1, bitorder="little")
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def bitset(values, size):
+    """The int bitset of a sequence or array of element indices below size."""
+    return row_bitsets(membership(np.asarray(values, dtype=np.intp).reshape(1, -1), size))[0]
+
+
+def bits(mask):
+    """The element indices set in an int bitset, ascending."""
+    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return tuple(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
 
 
 def per_ring(fn):
@@ -412,16 +436,6 @@ def make_opposite(ring):
     return FiniteRing(spec=f"op:{ring.spec}", add_table=ring.add_table,
                       mul_table=ring.mul_table.T.copy(), zero=ring.zero,
                       one=ring.one, form=("opposite", ring))
-
-
-def units(ring) -> UnitSet:
-    """All elements with a two-sided inverse."""
-    return ring.units
-
-
-def idempotents(ring):
-    """All e with e*e == e, in index order."""
-    return list(ring.idempotent_list)
 
 
 # -- element literals --------------------------------------------------------

@@ -180,3 +180,40 @@ def idem_annihilator_scan(ring):
     if wider is not None:
         extra["example_pair"] = wider
     return Verdict(verdict.holds, verdict.witness, verdict.checked, extra=extra)
+
+
+# -- summand scans over the frozenset principal ideals ------------------------------
+#
+# The loops the bitset kernels of ringlab.classify.is_ssp and is_sip replaced,
+# kept as references: same scan order, same witnesses, same `checked` counts.
+
+
+def ssp_scan(ring):
+    """Sum of any two summands of the right regular module is a summand."""
+    summand_sets = {ring.right_principal_sets[e] for e in ring.idempotent_list}
+    add = ring.add_table
+    checked = 0
+    for e in ring.idempotent_list:
+        eR = sorted(ring.right_principal_sets[e])
+        for f in ring.idempotent_list:
+            fR = sorted(ring.right_principal_sets[f])
+            total = frozenset(int(v) for v in np.unique(add[np.ix_(eR, fR)]))
+            checked += 1
+            if total not in summand_sets:
+                return Verdict(False, witness={"idempotents": [int(e), int(f)],
+                                               "sum_size": len(total)}, checked=checked)
+    return Verdict(True, checked=checked)
+
+
+def sip_scan(ring):
+    """Intersection of any two summands is a summand."""
+    summand_sets = {ring.right_principal_sets[e] for e in ring.idempotent_list}
+    checked = 0
+    for e in ring.idempotent_list:
+        for f in ring.idempotent_list:
+            meet = ring.right_principal_sets[e] & ring.right_principal_sets[f]
+            checked += 1
+            if meet not in summand_sets:
+                return Verdict(False, witness={"idempotents": [int(e), int(f)],
+                                               "meet_size": len(meet)}, checked=checked)
+    return Verdict(True, checked=checked)

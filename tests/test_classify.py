@@ -8,7 +8,7 @@ import pytest
 import oracles
 from ringlab import (SUITE_NAMES, default_catalog, direct_sum_cancellation,
                      has_stable_range_1, idem_condition_annihilator,
-                     idem_condition_right_sided, idem_sr_condition, idempotents, ideal_sum,
+                     idem_condition_right_sided, idem_sr_condition, ideal_sum,
                      is_abelian, is_clean, is_ic, is_sip, is_ssp, make_zmod,
                      parse_ring_spec, principal, product_regular_condition,
                      regular_elements, ring_profile, right_sided_certificate,
@@ -116,6 +116,22 @@ def test_pair_kernels_match_the_pair_scans(spec):
     expected = oracles.idem_sr_scan(make_opposite(ring))
     assert (right.holds, right.witness, right.checked) == \
         (expected.holds, expected.witness, expected.checked)
+
+
+# rings of the summand test below whose verdicts fail, covering both witness paths
+SSP_FAILS = {"T2:Zn:2", "T2:Zn:3", "T2:Zn:4", "T3:Zn:2", "op:T2:Zn:3", "op:T2:Zn:4", "M2:Zn:4"}
+SIP_FAILS = {"T2:Zn:4", "op:T2:Zn:4", "M2:Zn:4"}
+
+
+@pytest.mark.parametrize("spec", [e.spec for e in default_catalog()]
+                         + ["T2:Zn:2", "T2:Zn:4", "T3:Zn:2", "op:T2:Zn:4", "M2:Zn:4", "M3:Zn:2"])
+def test_summand_kernels_match_the_frozenset_scans(spec):
+    ring = parse_ring_spec(spec)
+    ssp, sip = is_ssp(ring), is_sip(ring)
+    assert ssp == oracles.ssp_scan(ring)
+    assert sip == oracles.sip_scan(ring)
+    assert ssp.holds is (spec not in SSP_FAILS)
+    assert sip.holds is (spec not in SIP_FAILS)
 
 
 def test_first_failure_counts_the_cells_scanned():

@@ -3,9 +3,11 @@ import json
 
 import pytest
 
-from ringlab import (HypothesisViolation, idempotent_witness_set, make_zmod,
-                     parse_ring_spec, regular_elements, solve_unimodular,
-                     special_clean_decompose, special_clean_witnesses,
+from ringlab import (SUITE_NAMES, HypothesisViolation, all_right_ideals,
+                     classify_element, element_from_obj, idempotent_witness_set,
+                     is_ic, is_ssp, make_matrix_ring, make_triangular_ring, make_zmod,
+                     parse_ring_spec, regular_elements, ring_profile, solve_unimodular,
+                     special_clean_decompose, special_clean_witnesses, theorem_suite,
                      unimodular_matrix, unique_special_clean_abelian, verify_trace)
 
 
@@ -196,3 +198,25 @@ def test_direct_sum_certificates(m2z2):
     for name in ("kernel_coimage_split", "cokernel_image_split",
                  "common_complement", "image_projection_split"):
         assert rep["checks"][name], name
+
+
+def test_no_command_path_builds_the_frozenset_ideals():
+    # fresh rings from the constructors: parse_ring_spec may hand back a ring
+    # whose frozensets a reference test already built
+    m2 = make_matrix_ring(2, make_zmod(2))
+    rings = (m2, make_triangular_ring(2, make_zmod(3)))
+    for ring in rings:
+        ring_profile(ring)
+        for name in SUITE_NAMES:
+            theorem_suite(ring, name)
+        for a in ring.elements():
+            classify_element(ring, a)
+        all_right_ideals(ring)
+    assert is_ssp(m2).holds and is_ic(m2).holds
+    for a, b in (([[1, 1], [0, 0]], [[1, 0], [0, 1]]), ([[1, 0], [0, 0]], [[0, 0], [0, 1]])):
+        trace = solve_unimodular(m2, element_from_obj(m2, a), element_from_obj(m2, b))
+        assert verify_trace(trace)["all_passed"]
+        trace.to_json()
+    for ring in rings:
+        assert "right_principal_sets" not in vars(ring)
+        assert "left_principal_sets" not in vars(ring)

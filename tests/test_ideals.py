@@ -6,7 +6,7 @@ import oracles
 from ringlab import (InvariantViolation, ModuleHom, RightIdeal, RingMismatchError,
                      SearchBudgetExceeded, all_right_ideals,
                      common_complement_idempotent, direct_complements, graph_module,
-                     hom_search, ideal_intersect, ideal_sum, idempotents,
+                     hom_search, ideal_intersect, ideal_sum,
                      is_direct_pair, is_ssp, make_triangular_ring, make_zmod,
                      parse_ring_spec, principal, reconstruct_common_complement,
                      right_annihilator, summand_idempotent, summands_isomorphic)
@@ -56,7 +56,7 @@ def test_sum_with_zero_is_identity(z6):
 
 def test_peirce_sum_is_whole_ring(z6, m2z2, t2z3):
     for ring in (z6, m2z2, t2z3):
-        for e in idempotents(ring):
+        for e in ring.idempotent_list:
             total = ideal_sum(principal(ring, e), principal(ring, ring.one_minus(e)))
             assert total.is_full()
 
@@ -116,7 +116,7 @@ def test_complements_of_zero(z6):
 
 def test_complements_contain_peirce(m2z2, t2z3):
     for ring in (m2z2, t2z3):
-        for e in idempotents(ring):
+        for e in ring.idempotent_list:
             eR = principal(ring, e)
             comp = principal(ring, ring.one_minus(e))
             assert comp in direct_complements(eR)
@@ -182,8 +182,8 @@ def test_summand_intersections_on_ssp_rings(catalog_rings):
     for ring in catalog_rings.values():
         if not is_ssp(ring).holds:
             continue
-        for e in idempotents(ring):
-            for f in idempotents(ring):
+        for e in ring.idempotent_list:
+            for f in ring.idempotent_list:
                 meet = ideal_intersect(principal(ring, e), principal(ring, f))
                 assert summand_idempotent(meet) is not None
 
@@ -205,7 +205,7 @@ def test_hom_search_counts_in_z6(z6):
 
 
 def test_hom_search_results_are_valid(m2z2):
-    e = idempotents(m2z2)[2]
+    e = m2z2.idempotent_list[2]
     A = principal(m2z2, e)
     B = principal(m2z2, m2z2.one_minus(e))
     for h in hom_search(A, B):
@@ -229,7 +229,7 @@ def test_hom_search_zero_source(z6):
 
 def test_two_element_certificate_matches_hom_search(z6, m2z2):
     ring = m2z2
-    ids = idempotents(ring)
+    ids = ring.idempotent_list
     for e in ids:
         for f in ids:
             cert = summands_isomorphic(ring, e, f)
@@ -261,7 +261,7 @@ def test_common_complement_roundtrip_exhaustive(m2z2, t2z3):
     for ring in (m2z2, t2z3):
         summands = []
         seen = set()
-        for e in idempotents(ring):
+        for e in ring.idempotent_list:
             I = principal(ring, e)
             if I.members not in seen:
                 seen.add(I.members)
@@ -316,11 +316,24 @@ def test_graph_rejects_partial_map(z6):
         graph_module(partial)
 
 
-def test_every_returned_ideal_is_closed(z6, m2z2):
-    for ring in (z6, m2z2):
+def test_every_returned_ideal_is_closed(catalog_rings):
+    # also: every principal ideal, its summand idempotent and its complements
+    # against a plain scan of the frozenset principal ideals
+    for ring in catalog_rings.values():
+        sets, zero_only = ring.right_principal_sets, frozenset({ring.zero})
+        summands = {}
+        for e in ring.idempotent_list:
+            summands.setdefault(sets[e], e)
         for a in range(ring.size):
             for I in (principal(ring, a), right_annihilator(ring, a)):
                 RightIdeal.from_members(ring, I.members)
+            aR = principal(ring, a)
+            assert aR.members == sets[a] and len(aR) == len(sets[a])
+            assert [x for x in ring.elements() if x in aR] == sorted(sets[a])
+            assert summand_idempotent(aR) == summands.get(sets[a])
+            assert [(C.members, C.generators) for C in direct_complements(aR)] == \
+                [(S, (f,)) for S, f in summands.items()
+                 if S & sets[a] == zero_only and len(S) * len(sets[a]) == ring.size]
 
 
 # -- serialization -------------------------------------------------------------------------

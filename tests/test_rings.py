@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import oracles
 from ringlab import (CapacityError, RingMismatchError, element_from_obj,
-                     element_repr, element_to_obj, idempotents, make_matrix_ring,
+                     element_repr, element_to_obj, make_matrix_ring,
                      make_opposite, make_product, make_triangular_ring, make_zmod,
-                     parse_element, parse_ring_spec, units)
+                     parse_element, parse_ring_spec)
 from ringlab.rings import FiniteRing
 
 
@@ -40,19 +40,19 @@ def test_z4_regulars_exactly_0_1_3(z4):
 
 def test_units_z6(z6):
     assert oracles.zmod_units(6) == {1, 5}
-    u = units(z6)
+    u = z6.units
     assert u.members == frozenset({1, 5})
     assert u.inverse(5) == 5 and u.inverse(1) == 1
 
 
 def test_units_zero_ring():
     r = make_zmod(1)
-    assert units(r).members == frozenset({0})
+    assert r.units.members == frozenset({0})
 
 
 def test_units_m2z2_has_6_elements(m2z2):
     assert len(oracles.mat_units(2, 2)) == 6
-    assert len(units(m2z2)) == 6
+    assert len(m2z2.units) == 6
 
 
 def test_units_closed_under_mul_and_inverse(z6, m2z2, t2z3):
@@ -66,20 +66,20 @@ def test_units_closed_under_mul_and_inverse(z6, m2z2, t2z3):
 
 def test_idempotents_z6(z6):
     assert oracles.zmod_idempotents(6) == {0, 1, 3, 4}
-    assert idempotents(z6) == [0, 1, 3, 4]
+    assert list(z6.idempotent_list) == [0, 1, 3, 4]
 
 
 def test_idempotents_contain_zero_and_one(catalog_rings):
     for ring in catalog_rings.values():
-        ids = set(idempotents(ring))
+        ids = set(ring.idempotent_list)
         assert ring.zero in ids and ring.one in ids
 
 
 def test_t2z3_contains_named_idempotents(t2z3):
     e = parse_element(t2z3, "[[1,1],[0,0]]")
     f = parse_element(t2z3, "[[0,1],[0,1]]")
-    assert e in idempotents(t2z3)
-    assert f in idempotents(t2z3)
+    assert e in t2z3.idempotent_list
+    assert f in t2z3.idempotent_list
 
 
 # -- matrix, triangular, product, opposite ----------------------------------------
@@ -94,7 +94,7 @@ def test_matrix_ring_1x1_is_base():
 
 def test_m2z2_all_unit_regular(m2z2):
     assert oracles.mat_all_unit_regular(2, 2)
-    us = units(m2z2).members
+    us = m2z2.units.members
     for a in range(m2z2.size):
         assert any(m2z2.mul(m2z2.mul(a, u), a) == a for u in us)
 
@@ -156,7 +156,7 @@ def test_product_z2_z2_has_4_idempotents():
     assert {(a, b) for a in oracles.zmod_idempotents(2)
             for b in oracles.zmod_idempotents(2)} == {(0, 0), (0, 1), (1, 0), (1, 1)}
     ring = make_product([make_zmod(2), make_zmod(2)])
-    assert len(idempotents(ring)) == 4
+    assert len(ring.idempotent_list) == 4
 
 
 def test_opposite_of_commutative_is_identity(z6):
