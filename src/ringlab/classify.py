@@ -271,8 +271,9 @@ def idem_condition_annihilator(ring):
 def idem_condition_right_sided(ring):
     """Right-sided variant: aR + bR = R gives e with a + b*e a unit and
     Ra (+) Re = R. Evaluated by running the left-sided condition on the
-    opposite ring; element indices carry over unchanged."""
-    verdict = idem_sr_condition(make_opposite(ring))
+    opposite ring; element indices carry over unchanged. A commutative ring
+    has the same tables as its opposite, so it serves as its own."""
+    verdict = idem_sr_condition(ring if ring.is_commutative else make_opposite(ring))
     note = "computed on the opposite ring; indices are shared with the original"
     return Verdict(verdict.holds, verdict.witness, verdict.checked, note=note)
 

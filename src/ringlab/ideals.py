@@ -3,8 +3,11 @@
 An ideal is stored as an int bitset over element indices (the ring's own
 membership representation, as in FiniteRing.right_masks) together with a
 generator list, so equality, meets and direct-sum checks are int operations.
-Module homomorphisms between ideals are stored as explicit graphs and
-validated for additivity and right-equivariance.
+Module homomorphisms between ideals are stored as explicit graphs (dicts).
+A generator assignment is extended by building the submodule it generates
+in source x target with table lookups, one generator at a time, and a map
+is validated for additivity and right-equivariance by comparing whole rows
+of the operation tables through an index vector of the graph.
 """
 
 from __future__ import annotations
@@ -128,21 +131,29 @@ class ModuleHom:
         return self.mapping[s]
 
     def validate(self):
+        """Raise InvariantViolation unless total, inside the target, additive
+        and right-equivariant, naming the first failing (s, s2) or (s, r)."""
         ring = _same_ring(self.source, self.target)
         if set(self.mapping) != self.source.members:
             raise InvariantViolation("map is not total on its source")
         if not set(self.mapping.values()) <= self.target.members:
             raise InvariantViolation("map image escapes its target")
         add, mul = ring.add_table, ring.mul_table
-        src = self.source.sorted_members
-        for s in src:
-            t = self.mapping[s]
-            for s2 in src:
-                if self.mapping[int(add[s, s2])] != int(add[t, self.mapping[s2]]):
-                    raise InvariantViolation(f"map is not additive at ({s}, {s2})")
-            for r in range(ring.size):
-                if self.mapping[int(mul[s, r])] != int(mul[t, r]):
-                    raise InvariantViolation(f"map is not right-equivariant at ({s}, {r})")
+        src = np.array(self.source.sorted_members)
+        img = np.array([self.mapping[s] for s in self.source.sorted_members])
+        graph = np.full(ring.size, -1, dtype=np.int32)
+        graph[src] = img
+        additive = graph[add[np.ix_(src, src)]] == add[np.ix_(img, img)]
+        equivariant = graph[mul[src]] == mul[img]
+        row_ok = additive.all(axis=1) & equivariant.all(axis=1)
+        if not row_ok.all():
+            i = int(np.argmin(row_ok))
+            s = int(src[i])
+            if not additive[i].all():
+                s2 = int(src[np.argmin(additive[i])])
+                raise InvariantViolation(f"map is not additive at ({s}, {s2})")
+            r = int(np.argmin(equivariant[i]))
+            raise InvariantViolation(f"map is not right-equivariant at ({s}, {r})")
         return True
 
     def is_bijective(self):
@@ -164,7 +175,7 @@ def identity_hom(A):
 def left_multiplication_hom(c, A, target=None):
     """The map x -> c*x restricted to A (always additive and equivariant)."""
     ring = A.ring
-    mapping = {s: ring.mul(c, s) for s in A.sorted_members}
+    mapping = dict(zip(A.sorted_members, ring.mul_table[c, A.sorted_members].tolist()))
     if target is None:
         target = RightIdeal.from_members(ring, mapping.values())
     return ModuleHom(A, target, mapping)
@@ -220,39 +231,26 @@ def direct_complements(A):
             if A.mask & S == 1 << ring.zero and len(A) * S.bit_count() == ring.size]
 
 
-def _extend_hom(ring, gens, images, source_members):
-    """Close a generator assignment under + and right multiplication.
-
-    Returns the full graph dict, or None if the assignment is inconsistent.
+def _extend_hom(ring, gens, images, source):
+    """The graph dict of sum g_i r_i -> sum y_i r_i, built one generator at a
+    time; None when some element gets two images (the assignment does not
+    extend) or the generators do not span the source.
     """
     add, mul = ring.add_table, ring.mul_table
-    mapping = {ring.zero: ring.zero}
-    queue = []
-
-    def put(s, t):
-        known = mapping.get(s)
-        if known is not None:
-            return known == t
-        mapping[s] = t
-        queue.append(s)
-        return True
-
+    S = T = np.array([ring.zero])
     for g, y in zip(gens, images):
-        if not put(int(g), int(y)):
+        S = add[np.ix_(S, mul[g])].ravel()
+        T = add[np.ix_(T, mul[y])].ravel()
+        graph = np.full(ring.size, -1, dtype=np.int32)
+        graph[S] = T
+        if not np.array_equal(graph[S], T):
             return None
-    while queue:
-        s = queue.pop()
-        t = mapping[s]
-        srow, trow = mul[s], mul[t]
-        for r in range(ring.size):
-            if not put(int(srow[r]), int(trow[r])):
-                return None
-        for s2, t2 in list(mapping.items()):
-            if not put(int(add[s, s2]), int(add[t, t2])):
-                return None
-    if set(mapping) != source_members:
+        S = np.flatnonzero(graph >= 0)
+        T = graph[S]
+    keys = S.tolist()
+    if tuple(keys) != source.sorted_members:
         return None
-    return mapping
+    return dict(zip(keys, T.tolist()))
 
 
 def hom_search(A, B, require_iso=False, max_candidates=HOM_SEARCH_CANDIDATE_LIMIT):
@@ -278,7 +276,7 @@ def hom_search(A, B, require_iso=False, max_candidates=HOM_SEARCH_CANDIDATE_LIMI
     out = []
     targets = B.sorted_members
     for images in itertools.product(targets, repeat=len(gens)):
-        mapping = _extend_hom(ring, gens, images, A.members)
+        mapping = _extend_hom(ring, gens, images, A)
         if mapping is None:
             continue
         hom = ModuleHom(A, B, mapping)
@@ -315,10 +313,10 @@ def common_complement_idempotent(A, B):
     for e in ring.idempotent_list:
         if ring.right_masks[e] != A.mask:
             continue
-        mapping = {y: ring.mul(e, y) for y in B.sorted_members}
-        values = set(mapping.values())
+        hom = left_multiplication_hom(e, B, target=A)
+        values = set(hom.mapping.values())
         if values == A.members and len(values) == len(B):
-            return int(e), ModuleHom(B, A, mapping)
+            return int(e), hom
     return None
 
 

@@ -363,23 +363,21 @@ def _matrix_shape_ring(kind, k, base, size_cap):
     for c, (i, j) in enumerate(support):
         grid[:, i, j] = digits[:, c]
 
+    # each table is built cell by cell, index = index * radix + digit, so no
+    # (size, size, cells) digit array is ever held
     badd = base.add_table
     bmul = base.mul_table
-
-    add_digits = np.empty((size, size, cells), dtype=np.int32)
-    for c in range(cells):
-        col = digits[:, c]
-        add_digits[:, :, c] = badd[np.ix_(col, col)]
-    add = _encode_digits(add_digits, base.size)
-
-    mul_digits = np.empty((size, size, cells), dtype=np.int32)
+    add = np.zeros((size, size), dtype=np.int32)
+    mul = np.zeros((size, size), dtype=np.int32)
     for c, (p, q) in enumerate(support):
+        col = digits[:, c]
+        add *= base.size
+        add += badd[np.ix_(col, col)]
         acc = np.full((size, size), base.zero, dtype=np.int32)
         for l in range(k):
-            term = bmul[grid[:, p, l][:, None], grid[:, l, q][None, :]]
-            acc = badd[acc, term]
-        mul_digits[:, :, c] = acc
-    mul = _encode_digits(mul_digits, base.size)
+            acc = badd[acc, bmul[np.ix_(grid[:, p, l], grid[:, l, q])]]
+        mul *= base.size
+        mul += acc
 
     one_digits = np.array([[base.one if i == j else base.zero for (i, j) in support]],
                           dtype=np.int32)

@@ -9,7 +9,8 @@ import itertools
 
 import numpy as np
 
-from ringlab import Verdict
+from ringlab import InvariantViolation, Verdict
+from ringlab.rings import positions
 
 
 # -- integers mod n ------------------------------------------------------------
@@ -217,3 +218,96 @@ def sip_scan(ring):
                 return Verdict(False, witness={"idempotents": [int(e), int(f)],
                                                "meet_size": len(meet)}, checked=checked)
     return Verdict(True, checked=checked)
+
+
+# -- module homomorphisms by closure and by loop ---------------------------------
+#
+# The per-element closure and the double loops that the table lookups of
+# ringlab.ideals._extend_hom and ModuleHom.validate replaced, kept as
+# references: same maps, same failure messages at the same first pair.
+
+
+def hom_extension_closure(ring, gens, images, source_members):
+    """Close a generator assignment under + and right multiplication.
+
+    Returns the full graph dict, or None if the assignment is inconsistent
+    or its closure is not the whole source.
+    """
+    add, mul = ring.add_table, ring.mul_table
+    mapping = {ring.zero: ring.zero}
+    queue = []
+
+    def put(s, t):
+        known = mapping.get(s)
+        if known is not None:
+            return known == t
+        mapping[s] = t
+        queue.append(s)
+        return True
+
+    for g, y in zip(gens, images):
+        if not put(int(g), int(y)):
+            return None
+    while queue:
+        s = queue.pop()
+        t = mapping[s]
+        srow, trow = mul[s], mul[t]
+        for r in range(ring.size):
+            if not put(int(srow[r]), int(trow[r])):
+                return None
+        for s2, t2 in list(mapping.items()):
+            if not put(int(add[s, s2]), int(add[t, t2])):
+                return None
+    if set(mapping) != source_members:
+        return None
+    return mapping
+
+
+def module_hom_validate_loop(hom):
+    """Totality, target, then per source element s (ascending): additivity
+    against every s2, then right-equivariance against every r."""
+    ring = hom.source.ring
+    mapping = hom.mapping
+    if set(mapping) != hom.source.members:
+        raise InvariantViolation("map is not total on its source")
+    if not set(mapping.values()) <= hom.target.members:
+        raise InvariantViolation("map image escapes its target")
+    add, mul = ring.add_table, ring.mul_table
+    src = hom.source.sorted_members
+    for s in src:
+        t = mapping[s]
+        for s2 in src:
+            if mapping[int(add[s, s2])] != int(add[t, mapping[s2]]):
+                raise InvariantViolation(f"map is not additive at ({s}, {s2})")
+        for r in range(ring.size):
+            if mapping[int(mul[s, r])] != int(mul[t, r]):
+                raise InvariantViolation(f"map is not right-equivariant at ({s}, {r})")
+    return True
+
+
+# -- matrix-shape tables from full digit arrays -------------------------------------
+
+
+def matrix_shape_tables_by_digits(kind, k, base):
+    """(add, mul) of k x k matrices over `base` on positions(kind, k), built as
+    the (size, size, cells) digit arrays of every sum and product and then
+    encoded, first cell most significant."""
+    support = positions(kind, k)
+    cells = len(support)
+    size = base.size ** cells
+    powers = base.size ** np.arange(cells - 1, -1, -1, dtype=np.int64)
+    digits = ((np.arange(size, dtype=np.int64)[:, None] // powers) % base.size).astype(np.int32)
+    grid = np.full((size, k, k), base.zero, dtype=np.int32)
+    for c, (i, j) in enumerate(support):
+        grid[:, i, j] = digits[:, c]
+    badd, bmul = base.add_table, base.mul_table
+    add_digits = np.empty((size, size, cells), dtype=np.int32)
+    mul_digits = np.empty((size, size, cells), dtype=np.int32)
+    for c, (p, q) in enumerate(support):
+        add_digits[:, :, c] = badd[np.ix_(digits[:, c], digits[:, c])]
+        acc = np.full((size, size), base.zero, dtype=np.int32)
+        for l in range(k):
+            acc = badd[acc, bmul[grid[:, p, l][:, None], grid[:, l, q][None, :]]]
+        mul_digits[:, :, c] = acc
+    return tuple((d.astype(np.int64) @ powers).astype(np.int32)
+                 for d in (add_digits, mul_digits))

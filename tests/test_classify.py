@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ringlab import (SUITE_NAMES, default_catalog, direct_sum_cancellation,
+from ringlab import (SUITE_NAMES, Verdict, default_catalog, direct_sum_cancellation,
                      has_stable_range_1, idem_condition_annihilator,
                      idem_condition_right_sided, idem_sr_condition, ideal_sum,
                      is_abelian, is_clean, is_ic, is_sip, is_ssp, make_zmod,
@@ -15,6 +15,7 @@ from ringlab import (SUITE_NAMES, default_catalog, direct_sum_cancellation,
                      sided_condition_variants, special_clean_witnesses,
                      summand_idempotent, theorem_suite, unimodular_matrix,
                      unit_regular_witness)
+from ringlab import classify
 from ringlab.classify import _first_failure, special_clean_flags
 from ringlab.rings import make_opposite, summand_partners
 
@@ -116,6 +117,21 @@ def test_pair_kernels_match_the_pair_scans(spec):
     expected = oracles.idem_sr_scan(make_opposite(ring))
     assert (right.holds, right.witness, right.checked) == \
         (expected.holds, expected.witness, expected.checked)
+
+
+@pytest.mark.parametrize("spec", [e.spec for e in default_catalog()
+                                  if parse_ring_spec(e.spec).is_commutative])
+def test_commutative_right_sided_verdict_skips_the_opposite_ring(spec, monkeypatch):
+    ring = parse_ring_spec(spec)
+    via_opposite = idem_sr_condition(make_opposite(ring))
+    expected = Verdict(via_opposite.holds, via_opposite.witness, via_opposite.checked,
+                       note="computed on the opposite ring; indices are shared with the original")
+
+    def no_opposite(ring):
+        raise AssertionError("a commutative ring is its own opposite")
+
+    monkeypatch.setattr(classify, "make_opposite", no_opposite)
+    assert idem_condition_right_sided.__wrapped__(ring) == expected
 
 
 # rings of the summand test below whose verdicts fail, covering both witness paths

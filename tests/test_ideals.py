@@ -1,15 +1,17 @@
 import itertools
+import random
 
 import pytest
 
 import oracles
 from ringlab import (InvariantViolation, ModuleHom, RightIdeal, RingMismatchError,
                      SearchBudgetExceeded, all_right_ideals,
-                     common_complement_idempotent, direct_complements, graph_module,
-                     hom_search, ideal_intersect, ideal_sum,
+                     common_complement_idempotent, direct_complements, element_to_obj,
+                     graph_module, hom_search, ideal_intersect, ideal_sum,
                      is_direct_pair, is_ssp, make_triangular_ring, make_zmod,
-                     parse_ring_spec, principal, reconstruct_common_complement,
-                     right_annihilator, summand_idempotent, summands_isomorphic)
+                     parse_element, parse_ring_spec, principal,
+                     reconstruct_common_complement, right_annihilator,
+                     summand_idempotent, summands_isomorphic)
 from ringlab.ideals import identity_hom
 
 
@@ -238,6 +240,106 @@ def test_two_element_certificate_matches_hom_search(z6, m2z2):
             if cert is not None:
                 u, v = cert
                 assert ring.mul(u, v) == e and ring.mul(v, u) == f
+
+
+# -- homomorphism kernels against the closure and the loop ---------------------------
+
+
+def closure_search(A, B, require_iso=False):
+    """hom_search's enumeration, extended by the reference closure."""
+    if require_iso and len(A) != len(B):
+        return []
+    found = []
+    for images in itertools.product(B.sorted_members, repeat=len(A.generators)):
+        mapping = oracles.hom_extension_closure(A.ring, A.generators, images, A.members)
+        if mapping is not None and (not require_iso or set(mapping.values()) == B.members):
+            found.append(mapping)
+    return found
+
+
+def assert_search_matches_closure(A, B):
+    for require_iso in (False, True):
+        got = [h.mapping for h in hom_search(A, B, require_iso=require_iso)]
+        assert got == closure_search(A, B, require_iso), (A, B, require_iso)
+
+
+@pytest.mark.parametrize("spec", ["Zn:6", "M2:Zn:2", "T2:Zn:3"])
+def test_hom_search_matches_the_closure_on_every_ideal_pair(spec):
+    ideals = all_right_ideals(parse_ring_spec(spec))
+    for A in ideals:
+        for B in ideals:
+            assert_search_matches_closure(A, B)
+
+
+def test_hom_search_matches_the_closure_on_concatenated_generators(m2z2, t2z3):
+    # ideal_sum concatenates generator lists, so these sources carry
+    # redundant and repeated generators that the extension must reconcile
+    for ring in (m2z2, t2z3):
+        summands = [principal(ring, e) for e in ring.idempotent_list[1:4]]
+        targets = summands + [RightIdeal.zero_ideal(ring)]
+        for P in summands:
+            for Q in summands:
+                A = ideal_sum(P, Q)
+                assert len(A.generators) == 2
+                for B in targets + [A]:
+                    assert_search_matches_closure(A, B)
+
+
+def test_hom_search_finds_nothing_from_generators_that_do_not_span(z6):
+    A = RightIdeal.from_members(z6, range(6), generators=(2,))   # 2 spans {0, 2, 4}
+    assert closure_search(A, A) == []
+    assert hom_search(A, A) == []
+
+
+def validate_message(check, hom):
+    try:
+        check(hom)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+def assert_validate_matches_loop(hom, prefix):
+    message = validate_message(ModuleHom.validate, hom)
+    assert message == validate_message(oracles.module_hom_validate_loop, hom)
+    assert message.startswith(prefix), message
+
+
+def test_validate_reports_the_loops_first_failure(m2z2, t2z3):
+    ring = parse_ring_spec("T2:Zn:2")
+    column = RightIdeal.from_members(ring, {0, 1, 2, 3})   # [[0,b],[0,c]]
+    assert len(column.generators) == 2
+    row = principal(ring, parse_element(ring, "[[1,0],[0,0]]"))
+    x, y = (parse_element(ring, m) for m in ("[[0,1],[0,0]]", "[[0,0],[0,1]]"))
+    # R acts on the column ideal through c alone, so every map fixing 0 is
+    # equivariant; this one sends x, y and x + y all to x
+    collapse = ModuleHom(column, column, {0: 0, x: x, y: x, ring.add(x, y): x})
+    assert_validate_matches_loop(collapse, "map is not additive")
+    # swapping the two entries of a first row is additive but not equivariant
+    swap = {s: parse_element(ring, str([list(reversed(element_to_obj(ring, s)[0])), [0, 0]]))
+            for s in row.sorted_members}
+    assert_validate_matches_loop(ModuleHom(row, row, swap), "map is not right-equivariant")
+    partial = dict(identity_hom(column).mapping)
+    del partial[y]
+    assert_validate_matches_loop(ModuleHom(column, column, partial),
+                                 "map is not total on its source")
+    assert_validate_matches_loop(ModuleHom(column, row, identity_hom(column).mapping),
+                                 "map image escapes its target")
+    # random maps fixing 0 between ideals fail in later rows, of both kinds
+    rng = random.Random(5)
+    kinds = set()
+    for ring in (m2z2, t2z3):
+        ideals = all_right_ideals(ring)
+        for A in ideals:
+            for B in ideals:
+                for _ in range(3):
+                    mapping = {s: rng.choice(B.sorted_members) for s in A.sorted_members}
+                    mapping[ring.zero] = ring.zero
+                    hom = ModuleHom(A, B, mapping)
+                    message = validate_message(ModuleHom.validate, hom)
+                    assert message == validate_message(oracles.module_hom_validate_loop, hom)
+                    kinds.add(message and message.split(" at (")[0])
+    assert kinds == {None, "map is not additive", "map is not right-equivariant"}
 
 
 # -- common complements -------------------------------------------------------------------

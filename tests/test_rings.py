@@ -117,6 +117,15 @@ def test_matrix_tables_match_tuple_oracle():
             assert elems[ring.add(i, j)] == expect
 
 
+@pytest.mark.parametrize("spec, kind, k, n", [("M2:Zn:3", "matrix", 2, 3),
+                                               ("T2:Zn:4", "triangular", 2, 4)])
+def test_matrix_shape_tables_match_the_digit_arrays(spec, kind, k, n):
+    ring = parse_ring_spec(spec)
+    add, mul = oracles.matrix_shape_tables_by_digits(kind, k, make_zmod(n))
+    for got, want in ((ring.add_table, add), (ring.mul_table, mul)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 def test_triangular_z3_has_27_elements(t2z3):
     assert t2z3.size == 27
     t2z3.validate()
