@@ -17,7 +17,8 @@ z6.validate()
 print("spec:", z6.spec, " size:", z6.size)
 print("addition table:\n", z6.add_table)
 print("multiplication table:\n", z6.mul_table)
-print("units:", sorted(z6.units.members), " with inverses:", z6.units.inverse_map)
+units = np.flatnonzero(z6.unit_flags).tolist()
+print("units:", units, " with inverses:", {u: int(z6.unit_inverse[u]) for u in units})
 print("idempotents:", list(z6.idempotent_list))
 
 print("\n== 2x2 matrices over Z_2 ==")
@@ -25,7 +26,7 @@ m2 = make_matrix_ring(2, make_zmod(2))
 m2.validate()
 print("spec:", m2.spec, " size:", m2.size)
 print("the identity matrix sits at index", m2.one)
-print("unit group order:", len(m2.units), " (the invertible 2x2 matrices over Z_2)")
+print("unit group order:", int(m2.unit_flags.sum()), " (the invertible 2x2 matrices over Z_2)")
 print("idempotent count:", len(m2.idempotent_list))
 
 print("\n== upper-triangular 2x2 matrices over Z_3 ==")

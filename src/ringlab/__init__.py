@@ -32,6 +32,6 @@ from .ideals import (ModuleHom, RightIdeal, all_right_ideals,
                      hom_search, ideal_intersect, ideal_sum, is_direct_pair, principal,
                      reconstruct_common_complement, right_annihilator,
                      summand_idempotent, summands_isomorphic)
-from .rings import (DEFAULT_SIZE_CAP, FiniteRing, RingElement, UnitSet,
-                    element_from_obj, element_repr, element_to_obj, make_matrix_ring,
-                    make_opposite, make_product, make_triangular_ring, make_zmod)
+from .rings import (DEFAULT_SIZE_CAP, FiniteRing, RingElement, element_from_obj,
+                    element_repr, element_to_obj, make_matrix_ring, make_opposite,
+                    make_product, make_triangular_ring, make_zmod)

@@ -128,12 +128,22 @@ def default_catalog():
 
 
 def load_catalog(path):
-    """Read a catalog file: a JSON list of {spec, tags, provenance?} objects."""
+    """Read a catalog file: a JSON list of {spec, tags, provenance?} objects.
+
+    Raises ValueError naming the first malformed entry's index."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, list):
+        raise ValueError(f"catalog {path} must be a JSON list of entries")
     entries = []
-    for item in data:
-        entries.append(CatalogEntry(spec=item["spec"], tags=tuple(item.get("tags", ())),
+    for i, item in enumerate(data):
+        if not (isinstance(item, dict) and isinstance(item.get("spec"), str)
+                and isinstance(item.get("tags"), list)
+                and all(isinstance(t, str) for t in item["tags"])
+                and isinstance(item.get("provenance", {}), dict)):
+            raise ValueError(f"catalog entry {i} must be an object with a string 'spec', "
+                             f"a list of string 'tags' and an optional object 'provenance'")
+        entries.append(CatalogEntry(spec=item["spec"], tags=tuple(item["tags"]),
                                     provenance=dict(item.get("provenance", {}))))
     return entries
 

@@ -285,7 +285,7 @@ def right_sided_certificate(ring, a, b):
     route used by the right-sided verdict.
     """
     for e in summand_partners(ring, "left")[a][1]:
-        if ring.add(a, ring.mul(b, e)) in ring.units:
+        if ring.unit_flags[ring.add(a, ring.mul(b, e))]:
             return e
     return None
 

@@ -251,16 +251,9 @@ def _hunt_candidates(max_size):
             specs.append(f"T{k}:Zn:{n}")
             n += 1
     for i in range(2, max_size + 1):
-        for j in range(i, max_size + 1):
-            if i * j <= max_size:
-                specs.append(f"prod:Zn:{i}+Zn:{j}")
-    seen = set()
-    ordered = []
-    for s in specs:
-        if s not in seen:
-            seen.add(s)
-            ordered.append(s)
-    return ordered
+        for j in range(i, max_size // i + 1):
+            specs.append(f"prod:Zn:{i}+Zn:{j}")
+    return list(dict.fromkeys(specs))
 
 
 def run_hunt(expr_text, max_size):

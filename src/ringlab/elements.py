@@ -63,7 +63,7 @@ def unit_regularity_table(ring):
     """(mask, least_u): which elements are unit-regular, least unit witness."""
     t = _axa_table(ring)
     n = ring.size
-    us = np.array(ring.units.sorted_members(), dtype=np.int64)
+    us = np.flatnonzero(ring.unit_flags)
     hits = t[:, us] == np.arange(n)[:, None]
     mask = hits.any(axis=1)
     least = np.where(mask, us[hits.argmax(axis=1)], -1)
@@ -103,7 +103,7 @@ def special_clean_witnesses(ring, a):
     out = []
     for e in summand_partners(ring, "right")[a][0]:
         u = ring.sub(a, e)
-        if u in ring.units:
+        if ring.unit_flags[u]:
             out.append(CleanDecomposition(element=int(a), idem=e, unit=u, special=True))
     return out
 
@@ -116,7 +116,7 @@ def is_clean(ring, a):
     """
     for e in ring.idempotent_list:
         u = ring.sub(a, e)
-        if u in ring.units:
+        if ring.unit_flags[u]:
             special = e in summand_partners(ring, "right")[a][0]
             return CleanDecomposition(element=int(a), idem=e, unit=u, special=special)
     return None
@@ -135,11 +135,11 @@ def unit_inverse_from_special_clean(ring, d):
     a, e, u = d.element, d.idem, d.unit
     if ring.mul(e, e) != e:
         raise InvariantViolation("claimed idempotent is not idempotent")
-    if u not in ring.units:
+    if not ring.unit_flags[u]:
         raise InvariantViolation("claimed unit is not a unit")
     if ring.add(e, u) != a:
         raise InvariantViolation("decomposition does not sum to the element")
-    u_inv = ring.units.inverse(u)
+    u_inv = int(ring.unit_inverse[u])
     t = ring.mul(ring.mul(a, u_inv), e)
     # a*u^-1*e equals e*u^-1*e + e, placing it in aR and eR simultaneously
     if t != ring.add(ring.mul(ring.mul(e, u_inv), e), e):

@@ -30,15 +30,12 @@ def _same_ring(a, b):
     return a.ring
 
 
-def additive_closure(ring, mask):
-    """Bitset of the smallest subset containing 0 and mask that is closed under +."""
-    span = mask | 1 << ring.zero
-    while True:
-        arr = bits(span)
-        grown = span | bitset(ring.add_table[np.ix_(arr, arr)], ring.size)
-        if grown == span:
-            return span
-        span = grown
+def subgroup_sum(ring, p, q):
+    """Bitset of P + Q = {x + y : x in P, y in Q}, given the members p and q
+    of additive subgroups P and Q. Every caller adds a principal ideal to a
+    subgroup, and the sum of two subgroups is already closed under +, so one
+    gather of the addition table is the whole additive closure of P and Q."""
+    return bitset(ring.add_table[np.ix_(p, q)], ring.size)
 
 
 def minimal_generators(ring, mask):
@@ -49,7 +46,7 @@ def minimal_generators(ring, mask):
     for m in bits(mask):
         if not span >> m & 1:
             gens.append(m)
-            span = additive_closure(ring, span | ring.right_masks[m])
+            span = subgroup_sum(ring, bits(span), bits(ring.right_masks[m]))
     if span != mask:
         raise InvariantViolation("member set is not closed as a right ideal")
     return tuple(gens)
@@ -197,7 +194,7 @@ def right_annihilator(ring, a):
 def ideal_sum(A, B):
     """{x + y : x in A, y in B}; generators are concatenated."""
     ring = _same_ring(A, B)
-    mask = bitset(ring.add_table[np.ix_(A.sorted_members, B.sorted_members)], ring.size)
+    mask = subgroup_sum(ring, A.sorted_members, B.sorted_members)
     return RightIdeal(ring, mask, A.generators + B.generators)
 
 
@@ -361,10 +358,11 @@ def all_right_ideals(ring):
     work = [zero]
     while work:
         base = work.pop()
+        members = bits(base)
         for a in range(ring.size):
             if base >> a & 1:
                 continue
-            grown = additive_closure(ring, base | ring.right_masks[a])
+            grown = subgroup_sum(ring, members, bits(ring.right_masks[a]))
             if grown not in found:
                 found.add(grown)
                 work.append(grown)

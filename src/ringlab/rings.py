@@ -20,28 +20,6 @@ from .errors import CapacityError, LiteralParseError, RingMismatchError
 DEFAULT_SIZE_CAP = 4096
 
 
-@dataclass(frozen=True)
-class UnitSet:
-    """The units of a ring together with their two-sided inverses."""
-
-    members: frozenset
-    inverse_map: dict
-
-    def __contains__(self, idx):
-        return idx in self.members
-
-    def __len__(self):
-        return len(self.members)
-
-    def inverse(self, u):
-        if u not in self.inverse_map:
-            raise ValueError(f"element {u} is not a unit")
-        return self.inverse_map[u]
-
-    def sorted_members(self):
-        return sorted(self.members)
-
-
 @dataclass(eq=False)
 class FiniteRing:
     """A finite unital ring given by complete operation tables.
@@ -107,19 +85,26 @@ class FiniteRing:
     # -- derived structure --------------------------------------------------
 
     @cached_property
-    def units(self) -> UnitSet:
+    def unit_inverse(self) -> np.ndarray:
+        """unit_inverse[u] = the two-sided inverse of u, or -1 when u is not a
+        unit: the representation of the units every command path reads."""
         hits = self.mul_table == self.one
         two_sided = hits & hits.T
-        members = np.flatnonzero(two_sided.any(axis=1))
-        inverse = {int(u): int(np.argmax(two_sided[u])) for u in members}
-        return UnitSet(frozenset(int(u) for u in members), inverse)
+        inverse = np.where(two_sided.any(axis=1), two_sided.argmax(axis=1), -1).astype(np.int32)
+        inverse.setflags(write=False)
+        return inverse
 
     @cached_property
     def unit_flags(self) -> np.ndarray:
-        flags = np.zeros(self.size, dtype=bool)
-        flags[sorted(self.units.members)] = True
+        flags = self.unit_inverse >= 0
         flags.setflags(write=False)
         return flags
+
+    @cached_property
+    def units(self):
+        """frozenset of the unit indices. A reference for the tests and the
+        benchmark; no command path reads it."""
+        return frozenset(np.flatnonzero(self.unit_flags).tolist())
 
     @cached_property
     def idempotent_list(self):
@@ -326,13 +311,6 @@ def make_zmod(n, size_cap=DEFAULT_SIZE_CAP):
                       zero=0, one=1 % n, form=("zmod", n))
 
 
-def _encode_digits(digits, radix):
-    """Map (..., cells) digit arrays to indices, first digit most significant."""
-    cells = digits.shape[-1]
-    powers = radix ** np.arange(cells - 1, -1, -1, dtype=np.int64)
-    return (digits.astype(np.int64) @ powers).astype(np.int32)
-
-
 def _decode_digits(size, cells, radix):
     powers = radix ** np.arange(cells - 1, -1, -1, dtype=np.int64)
     idx = np.arange(size, dtype=np.int64)
@@ -379,9 +357,9 @@ def _matrix_shape_ring(kind, k, base, size_cap):
         mul *= base.size
         mul += acc
 
-    one_digits = np.array([[base.one if i == j else base.zero for (i, j) in support]],
-                          dtype=np.int32)
-    one = int(_encode_digits(one_digits, base.size)[0])
+    one = 0
+    for i, j in support:
+        one = one * base.size + (base.one if i == j else base.zero)
     prefix = "M" if kind == "matrix" else "T"
     return FiniteRing(spec=f"{prefix}{k}:{base.spec}", add_table=add, mul_table=mul,
                       zero=0, one=one, form=(kind, k, base))
@@ -485,9 +463,10 @@ def element_from_obj(ring, obj):
                     if element_from_obj(base, rows[i][j]) != base.zero:
                         raise LiteralParseError(
                             f"entry ({i},{j}) must be zero in the triangular ring {ring.spec}")
-        digits = np.array([[element_from_obj(base, rows[i][j]) for (i, j) in positions(kind, k)]],
-                          dtype=np.int32)
-        return int(_encode_digits(digits, base.size)[0])
+        idx = 0
+        for i, j in positions(kind, k):
+            idx = idx * base.size + element_from_obj(base, rows[i][j])
+        return idx
     if kind == "product":
         factors = ring.form[1]
         parts = tuple(obj)

@@ -311,3 +311,55 @@ def matrix_shape_tables_by_digits(kind, k, base):
         mul_digits[:, :, c] = acc
     return tuple((d.astype(np.int64) @ powers).astype(np.int32)
                  for d in (add_digits, mul_digits))
+
+
+# -- unit inverses, additive closure and hunt candidates -----------------------------
+
+
+def two_sided_inverses(ring):
+    """{u: v} over every pair with u*v = v*u = 1, by a scan of all pairs."""
+    return {u: v for u in range(ring.size) for v in range(ring.size)
+            if ring.mul(u, v) == ring.one and ring.mul(v, u) == ring.one}
+
+
+def additive_closure_fixpoint(ring, mask):
+    """Bitset of the smallest subset containing 0 and mask that is closed
+    under +, grown by adding all pairwise sums until nothing changes."""
+    span = mask | 1 << ring.zero
+    while True:
+        members = [v for v in range(ring.size) if span >> v & 1]
+        grown = span
+        for x in members:
+            for y in members:
+                grown |= 1 << ring.add(x, y)
+        if grown == span:
+            return span
+        span = grown
+
+
+def hunt_candidates_loop(default_specs, max_size):
+    """The hunt sweep's spec list with the full product loop (every i <= j
+    up to max_size, kept when i*j fits) and a first-seen dedupe."""
+    specs = list(default_specs)
+    for n in range(1, max_size + 1):
+        specs.append(f"Zn:{n}")
+    for k in (2, 3):
+        n = 2
+        while n ** (k * k) <= max_size:
+            specs.append(f"M{k}:Zn:{n}")
+            n += 1
+        n = 2
+        while n ** (k * (k + 1) // 2) <= max_size:
+            specs.append(f"T{k}:Zn:{n}")
+            n += 1
+    for i in range(2, max_size + 1):
+        for j in range(i, max_size + 1):
+            if i * j <= max_size:
+                specs.append(f"prod:Zn:{i}+Zn:{j}")
+    seen = set()
+    ordered = []
+    for s in specs:
+        if s not in seen:
+            seen.add(s)
+            ordered.append(s)
+    return ordered

@@ -3,11 +3,12 @@ import os
 
 import pytest
 
+import oracles
 from ringlab import (CapacityError, CatalogEntry, ConstructionAbort, SpecParseError,
                      default_catalog, format_element, load_catalog, parse_element,
                      parse_ring_spec, ring_profile, solve_unimodular, verify_entry_tags)
 from ringlab.cache import ResultCache, default_cache_path
-from ringlab.cli import main, parse_property_expr, run_hunt, run_verify
+from ringlab.cli import _hunt_candidates, main, parse_property_expr, run_hunt, run_verify
 from ringlab.reports import strip_timing
 
 
@@ -110,6 +111,12 @@ def test_hunt_finds_triangular_ring():
     specs = [m["spec"] for m in report["matches"]]
     assert "T2:Zn:3" in specs
     assert all(parse_ring_spec(s).size <= 27 for s in specs)
+
+
+@pytest.mark.parametrize("max_size", [0, 1, 5, 6, 16, 64, 81, 256, 257, 1000])
+def test_hunt_candidates_match_the_full_product_loop(max_size):
+    default_specs = [entry.spec for entry in default_catalog()]
+    assert _hunt_candidates(max_size) == oracles.hunt_candidates_loop(default_specs, max_size)
 
 
 def test_hunt_respects_size_bound():
@@ -236,6 +243,23 @@ def test_cli_exit_code_on_tag_failure(capsys, tmp_path):
     report = json.loads(out)
     assert report["status"] == "fail"
     assert report["catalog"][0]["mismatches"]
+
+
+@pytest.mark.parametrize("data, message", [
+    ([{"tags": ["ic"]}], "catalog entry 0 "),
+    ({"spec": "Zn:6"}, "must be a JSON list"),
+    ([{"spec": "Zn:6", "tags": "ic"}], "catalog entry 0 "),
+    ([{"spec": "Zn:6", "tags": []}, {"spec": "Zn:4", "tags": ["ic"], "provenance": []}],
+     "catalog entry 1 "),
+])
+def test_cli_malformed_catalog_is_a_usage_error(capsys, tmp_path, data, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    code = main(["verify", "--suite", "L2.3", "--catalog", str(path), "--no-cache"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_cli_decompose_table(capsys):

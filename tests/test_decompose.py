@@ -8,7 +8,8 @@ from ringlab import (SUITE_NAMES, HypothesisViolation, all_right_ideals,
                      is_ic, is_ssp, make_matrix_ring, make_triangular_ring, make_zmod,
                      parse_ring_spec, regular_elements, ring_profile, solve_unimodular,
                      special_clean_decompose, special_clean_witnesses, theorem_suite,
-                     unimodular_matrix, unique_special_clean_abelian, verify_trace)
+                     unimodular_matrix, unique_special_clean_abelian,
+                     unit_inverse_from_special_clean, verify_trace)
 
 
 def test_degenerate_pair_of_ones(z6):
@@ -217,6 +218,9 @@ def test_no_command_path_builds_the_frozenset_ideals():
         trace = solve_unimodular(m2, element_from_obj(m2, a), element_from_obj(m2, b))
         assert verify_trace(trace)["all_passed"]
         trace.to_json()
+    for a in regular_elements(m2):
+        unit_inverse_from_special_clean(m2, special_clean_decompose(m2, a))
     for ring in rings:
         assert "right_principal_sets" not in vars(ring)
         assert "left_principal_sets" not in vars(ring)
+        assert "units" not in vars(ring)

@@ -68,7 +68,7 @@ def test_unit_witness_soundness(catalog_rings):
 
 def test_units_are_special_clean_with_zero_idempotent(z6, m2z2):
     for ring in (z6, m2z2):
-        for u in sorted(ring.units.members):
+        for u in sorted(ring.units):
             ws = special_clean_witnesses(ring, u)
             assert CleanDecomposition(u, ring.zero, u, True) in ws
 

@@ -12,7 +12,8 @@ from ringlab import (InvariantViolation, ModuleHom, RightIdeal, RingMismatchErro
                      parse_element, parse_ring_spec, principal,
                      reconstruct_common_complement, right_annihilator,
                      summand_idempotent, summands_isomorphic)
-from ringlab.ideals import identity_hom
+from ringlab.ideals import identity_hom, subgroup_sum
+from ringlab.rings import bits
 
 
 def members(I):
@@ -145,6 +146,16 @@ def test_all_right_ideals_t2z2_matches_subset_oracle():
     expect = oracles.subsets_right_ideals(ring.add_table, ring.mul_table,
                                           ring.zero, ring.size)
     assert {I.members for I in all_right_ideals(ring)} == expect
+
+
+@pytest.mark.parametrize("spec", ["Zn:12", "T2:Zn:3", "M2:Zn:2", "prod:Zn:2+Zn:4"])
+def test_subgroup_sum_is_the_additive_closure_of_the_union(spec):
+    ring = parse_ring_spec(spec)
+    masks = [I.mask for I in all_right_ideals(ring)] + list(set(ring.right_masks))
+    for p in masks:
+        for q in masks:
+            sum_mask = subgroup_sum(ring, bits(p), bits(q))
+            assert sum_mask == oracles.additive_closure_fixpoint(ring, p | q)
 
 
 # -- lattice laws (exhaustive on small rings) ------------------------------------------

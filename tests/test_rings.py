@@ -40,14 +40,13 @@ def test_z4_regulars_exactly_0_1_3(z4):
 
 def test_units_z6(z6):
     assert oracles.zmod_units(6) == {1, 5}
-    u = z6.units
-    assert u.members == frozenset({1, 5})
-    assert u.inverse(5) == 5 and u.inverse(1) == 1
+    assert z6.units == frozenset({1, 5})
+    assert z6.unit_inverse[5] == 5 and z6.unit_inverse[1] == 1
 
 
 def test_units_zero_ring():
     r = make_zmod(1)
-    assert r.units.members == frozenset({0})
+    assert r.units == frozenset({0})
 
 
 def test_units_m2z2_has_6_elements(m2z2):
@@ -58,10 +57,21 @@ def test_units_m2z2_has_6_elements(m2z2):
 def test_units_closed_under_mul_and_inverse(z6, m2z2, t2z3):
     for ring in (z6, m2z2, t2z3):
         u = ring.units
-        for a in u.members:
-            assert u.inverse_map[a] in u.members
-            for b in u.members:
-                assert ring.mul(a, b) in u.members
+        for a in u:
+            assert int(ring.unit_inverse[a]) in u
+            for b in u:
+                assert ring.mul(a, b) in u
+
+
+def test_unit_inverse_matches_the_pair_scan(catalog_rings):
+    extra = [parse_ring_spec(s) for s in ("Zn:1", "T2:Zn:4", "M2:Zn:4", "op:T2:Zn:4")]
+    for ring in [*catalog_rings.values(), *extra]:
+        inverses = oracles.two_sided_inverses(ring)
+        expected = [inverses.get(u, -1) for u in range(ring.size)]
+        assert ring.unit_inverse.dtype == np.int32, ring.spec
+        assert ring.unit_inverse.tolist() == expected, ring.spec
+        assert ring.unit_flags.tolist() == [v >= 0 for v in expected], ring.spec
+        assert ring.units == frozenset(inverses), ring.spec
 
 
 def test_idempotents_z6(z6):
@@ -94,7 +104,7 @@ def test_matrix_ring_1x1_is_base():
 
 def test_m2z2_all_unit_regular(m2z2):
     assert oracles.mat_all_unit_regular(2, 2)
-    us = m2z2.units.members
+    us = m2z2.units
     for a in range(m2z2.size):
         assert any(m2z2.mul(m2z2.mul(a, u), a) == a for u in us)
 
