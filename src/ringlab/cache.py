@@ -76,7 +76,8 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=str(self.path.parent), suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
+                # json.dumps runs the C encoder; json.dump always runs the Python one
+                fh.write(json.dumps(payload, sort_keys=True))
             os.replace(tmp, self.path)
         finally:
             if os.path.exists(tmp):

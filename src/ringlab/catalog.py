@@ -127,10 +127,21 @@ def default_catalog():
     ]
 
 
+def _tag_base(tag):
+    """(property name, negated) of a catalog tag such as "ssp" or "not-ssp";
+    raises ValueError for a property outside KNOWN_TAGS."""
+    negated = tag.startswith("not-")
+    base = tag[4:] if negated else tag
+    if base not in KNOWN_TAGS:
+        raise ValueError(f"unknown catalog tag {base!r}")
+    return base, negated
+
+
 def load_catalog(path):
     """Read a catalog file: a JSON list of {spec, tags, provenance?} objects.
 
-    Raises ValueError naming the first malformed entry's index."""
+    Raises ValueError naming the first malformed entry's index, or the first
+    unknown tag, before any ring is built."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list):
@@ -143,6 +154,8 @@ def load_catalog(path):
                 and isinstance(item.get("provenance", {}), dict)):
             raise ValueError(f"catalog entry {i} must be an object with a string 'spec', "
                              f"a list of string 'tags' and an optional object 'provenance'")
+        for tag in item["tags"]:
+            _tag_base(tag)
         entries.append(CatalogEntry(spec=item["spec"], tags=tuple(item["tags"]),
                                     provenance=dict(item.get("provenance", {}))))
     return entries
@@ -152,10 +165,7 @@ def verify_entry_tags(entry, profile):
     """Compare stored tags against a profile's JSON form; returns mismatches."""
     mismatches = []
     for tag in entry.tags:
-        negated = tag.startswith("not-")
-        base = tag[4:] if negated else tag
-        if base not in KNOWN_TAGS:
-            raise ValueError(f"unknown catalog tag {base!r}")
+        base, negated = _tag_base(tag)
         actual = bool(profile["unit_regular"] if base == "unit-regular"
                       else profile[base]["holds"])
         expected = not negated

@@ -14,7 +14,7 @@ import numpy as np
 
 from .elements import regular_elements, regularity_table, unit_regularity_table
 from .ideals import summands_isomorphic
-from .rings import make_opposite, membership, per_ring, row_bitsets, summand_partners
+from .rings import bits, membership, per_ring, row_bitsets, summand_partners
 
 SUITE_NAMES = ("T2.4", "T2.9", "C2.10", "R2.5", "C2.6", "L2.3")
 
@@ -95,13 +95,16 @@ def _first_failure(U, ok):
 
 
 @per_ring
-def unimodular_matrix(ring):
+def unimodular_matrix(ring, side="left"):
     """Boolean table U[a, b] = (Ra + Rb = R), computed per left-ideal class:
-    Ra + Rb = R iff the set 1 - Ra meets Rb."""
-    labels, reps = _classes(ring.left_masks)
+    Ra + Rb = R iff the set 1 - Ra meets Rb. side="right" gives aR + bR = R
+    from the right-ideal classes: 1 - aR meets bR."""
+    masks, table = ((ring.left_masks, ring.mul_table.T) if side == "left"
+                    else (ring.right_masks, ring.mul_table))
+    labels, reps = _classes(masks)
     one_minus = ring.add_table[ring.one, ring.neg_table]
-    one_minus_left = row_bitsets(membership(one_minus[ring.mul_table.T[reps]], ring.size))
-    return _meets(one_minus_left, [ring.left_masks[b] for b in reps])[np.ix_(labels, labels)]
+    one_minus_ideal = row_bitsets(membership(one_minus[table[reps]], ring.size))
+    return _meets(one_minus_ideal, [masks[b] for b in reps])[np.ix_(labels, labels)]
 
 
 @per_ring
@@ -205,7 +208,7 @@ def has_stable_range_1(ring):
     units = np.flatnonzero(ring.unit_flags)
     ok_by_class = np.empty((ring.size, len(reps)), dtype=bool)
     for c, b in enumerate(reps):
-        coset = ring.add_table[:, np.unique(ring.mul_table[:, b])].min(axis=1)
+        coset = ring.add_table[:, bits(ring.left_masks[b])].min(axis=1)
         has_unit = np.zeros(ring.size, dtype=bool)
         has_unit[coset[units]] = True
         ok_by_class[:, c] = has_unit[coset]
@@ -215,17 +218,27 @@ def has_stable_range_1(ring):
     return Verdict(False, witness={"pair": list(cell)}, checked=checked)
 
 
-def _idem_condition_over_pairs(ring, pairs):
+def _idem_condition_over_pairs(ring, pairs, side="left"):
     """Shared scan: each pair (a, b) set in the boolean table `pairs` needs an
     idempotent e with a + e*b a unit and aR + eR an internal direct sum equal
-    to R. The witness is the first failing pair in row-major order."""
-    partners = summand_partners(ring, "right")
-    add, mul, units = ring.add_table, ring.mul_table, ring.unit_flags
-    ok = np.zeros(pairs.shape, dtype=bool)
+    to R; side="right" asks for a + b*e a unit and Ra (+) Re = R instead. The
+    witness is the first failing pair in row-major order.
+
+    Rows a are grouped by their complement idempotents, so the products e*b
+    (b*e on the right) are gathered once per group; each a then reads them
+    through its row of unit flags of a + x."""
+    partners = summand_partners(ring, "right" if side == "left" else "left")
+    mul = ring.mul_table if side == "left" else ring.mul_table.T
+    add, units = ring.add_table, ring.unit_flags
+    groups = {}
     for a in np.flatnonzero(pairs.any(axis=1)):
-        complements = list(partners[a][1])
+        groups.setdefault(partners[a][1], []).append(a)
+    ok = np.zeros(pairs.shape, dtype=bool)
+    for complements, rows in groups.items():
         if complements:
-            ok[a] = units[add[a][mul[complements]]].any(axis=0)
+            products = mul[list(complements)]
+            for a in rows:
+                ok[a] = units[add[a]][products].any(axis=0)
     cell, checked = _first_failure(pairs, ok)
     if cell is None:
         return Verdict(True, checked=checked)
@@ -270,10 +283,16 @@ def idem_condition_annihilator(ring):
 @per_ring
 def idem_condition_right_sided(ring):
     """Right-sided variant: aR + bR = R gives e with a + b*e a unit and
-    Ra (+) Re = R. Evaluated by running the left-sided condition on the
-    opposite ring; element indices carry over unchanged. A commutative ring
-    has the same tables as its opposite, so it serves as its own."""
-    verdict = idem_sr_condition(ring if ring.is_commutative else make_opposite(ring))
+    Ra (+) Re = R. This is the left-sided condition of the opposite ring, read
+    from the ring's own tables: the opposite ring has the same regular
+    elements, units and idempotents, and its left and right ideals are the
+    ring's right and left ones. A commutative ring reuses its left-sided
+    verdict. The note text is kept, unchanged, for report stability."""
+    if ring.is_commutative:
+        verdict = idem_sr_condition(ring)
+    else:
+        pairs = unimodular_matrix(ring, "right") & _regular_pairs(ring)
+        verdict = _idem_condition_over_pairs(ring, pairs, side="right")
     note = "computed on the opposite ring; indices are shared with the original"
     return Verdict(verdict.holds, verdict.witness, verdict.checked, note=note)
 
@@ -281,8 +300,8 @@ def idem_condition_right_sided(ring):
 def right_sided_certificate(ring, a, b):
     """Least idempotent e with a + b*e a unit and Ra (+) Re = R, or None.
 
-    Works directly in the given ring, so it cross-checks the opposite-ring
-    route used by the right-sided verdict.
+    A per-pair search in the given ring, so it cross-checks the table scan
+    behind the right-sided verdict.
     """
     for e in summand_partners(ring, "left")[a][1]:
         if ring.unit_flags[ring.add(a, ring.mul(b, e))]:
@@ -296,43 +315,67 @@ def sided_condition_variants(ring):
 
 
 def _product_levels(ring, arity, factors):
-    """Products of `arity` elements drawn from `factors`, as value -> least
-    predecessor maps per level (for deterministic witness reconstruction)."""
-    mul = ring.mul_table
-    levels = [{int(a): None for a in factors}]
+    """Products of `arity` elements drawn from `factors`, one level per factor
+    count, for deterministic witness reconstruction.
+
+    Level k is (reached, pred_p, pred_c): reached[v] says v is a product of
+    k + 1 factors, and (pred_p[v], pred_c[v]) is the least cell (p, c) with
+    p*c = v in row-major order, p ascending over the values of level k - 1
+    and c in the order of `factors` (-1 where v is not reached; None at
+    level 0). Each level is one gather of the products p*c; the least cell
+    of each value comes from np.minimum.at over the flat cell indices, which
+    fit int32 because the size cap keeps size**2 below 2**31.
+    """
+    mul, n = ring.mul_table, ring.size
+    factors = np.asarray(factors, dtype=np.intp)
+    reached = np.zeros(n, dtype=bool)
+    reached[factors] = True
+    levels = [(reached, None, None)]
+    none = np.iinfo(np.int32).max
     for _ in range(arity - 1):
-        prev = levels[-1]
-        nxt = {}
-        for p in sorted(prev):
-            row = mul[p]
-            for c in factors:
-                v = int(row[c])
-                if v not in nxt:
-                    nxt[v] = (p, int(c))
-        levels.append(nxt)
+        prev = np.flatnonzero(levels[-1][0])
+        values = mul[np.ix_(prev, factors)].ravel()
+        first = np.full(n, none, dtype=np.int32)
+        np.minimum.at(first, values, np.arange(values.size, dtype=np.int32))
+        reached = first != none
+        row, col = np.divmod(first[reached], len(factors))
+        pred_p = np.full(n, -1, dtype=np.intp)
+        pred_c = np.full(n, -1, dtype=np.intp)
+        pred_p[reached] = prev[row]
+        pred_c[reached] = factors[col]
+        levels.append((reached, pred_p, pred_c))
     return levels
 
 
 def _unwind_factors(levels, value):
-    k = len(levels) - 1
+    """The factor tuple of `value` along the least-predecessor chain."""
     factors = []
     v = value
-    while k > 0:
-        p, c = levels[k][v]
-        factors.append(c)
-        v = p
-        k -= 1
+    for _, pred_p, pred_c in reversed(levels[1:]):
+        factors.append(int(pred_c[v]))
+        v = int(pred_p[v])
     factors.append(v)
     return list(reversed(factors))
+
+
+def _least_failing_product(levels, flags):
+    """{"product", "factors"} for the least value of the last level whose
+    flag is false, or None."""
+    bad = np.flatnonzero(levels[-1][0] & ~flags)
+    if not bad.size:
+        return None
+    v = int(bad[0])
+    return {"product": v, "factors": _unwind_factors(levels, v)}
 
 
 @per_ring
 def product_regular_condition(ring, arity):
     """Every product of `arity` regular elements is unit-regular.
 
-    Also records whether each such product is special clean; the least
-    failing product is returned with a factor tuple reconstructed from the
-    deterministic predecessor chain.
+    Also records whether each such product is special clean. Each verdict
+    reads the last level of _product_levels once: its least failing product
+    is returned with a factor tuple reconstructed from the deterministic
+    least-predecessor chain, and `checked` counts the distinct products.
     """
     if arity < 2:
         raise ValueError("arity must be at least 2")
@@ -340,42 +383,23 @@ def product_regular_condition(ring, arity):
         raise ValueError(f"arity {arity} exceeds the bound {PRODUCT_ARITY_BOUND}")
     regs = regular_elements(ring)
     levels = _product_levels(ring, arity, regs)
-    products = sorted(levels[-1])
     ureg_mask, _ = unit_regularity_table(ring)
-    sc_flags = special_clean_flags(ring)
-
-    witness = None
-    holds = True
-    for v in products:
-        if not ureg_mask[v]:
-            holds = False
-            witness = {"product": int(v), "factors": _unwind_factors(levels, v)}
-            break
-
-    sc_holds = True
-    sc_witness = None
-    for v in products:
-        if not sc_flags[v]:
-            sc_holds = False
-            sc_witness = {"product": int(v), "factors": _unwind_factors(levels, v)}
-            break
-
-    extra = {"products_special_clean": sc_holds}
+    witness = _least_failing_product(levels, ureg_mask)
+    sc_witness = _least_failing_product(levels, special_clean_flags(ring))
+    extra = {"products_special_clean": sc_witness is None}
     if sc_witness is not None:
         extra["special_clean_witness"] = sc_witness
-    return Verdict(holds, witness=witness, checked=len(products), extra=extra)
+    return Verdict(witness is None, witness=witness,
+                   checked=int(np.count_nonzero(levels[-1][0])), extra=extra)
 
 
 def _literal_products_special_clean(ring, arity):
     """The unrestricted reading: products of `arity` arbitrary elements are
     special clean. Reported separately because non-regular elements are never
     special clean, so this reading fails on most rings."""
-    levels = _product_levels(ring, arity, list(range(ring.size)))
-    sc_flags = special_clean_flags(ring)
-    for v in sorted(levels[-1]):
-        if not sc_flags[v]:
-            return False, {"product": int(v), "factors": _unwind_factors(levels, v)}
-    return True, None
+    levels = _product_levels(ring, arity, np.arange(ring.size))
+    witness = _least_failing_product(levels, special_clean_flags(ring))
+    return witness is None, witness
 
 
 @per_ring

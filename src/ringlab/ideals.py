@@ -290,8 +290,8 @@ def summands_isomorphic(ring, e, f):
     Returns (u, v) with u in eRf, v in fRe, uv = e and vu = f, or None.
     """
     mul = ring.mul_table
-    eRf = sorted(int(x) for x in np.unique(mul[mul[e], f]))
-    fRe = sorted(int(x) for x in np.unique(mul[mul[f], e]))
+    eRf = bits(bitset(mul[mul[e], f], ring.size))
+    fRe = bits(bitset(mul[mul[f], e], ring.size))
     for u in eRf:
         row = mul[u]
         for v in fRe:

@@ -168,6 +168,17 @@ def idem_sr_scan(ring):
     return _idem_scan(ring, [(a, b) for a in regs for b in regs if U[a, b]])
 
 
+def right_unimodular_table(ring):
+    """U[a, b] = (aR + bR = R), testing 1 in aR + bR pair by pair."""
+    sets = [sorted(s) for s in ring.right_principal_sets]
+    n = ring.size
+    table = np.zeros((n, n), dtype=bool)
+    for a in range(n):
+        for b in range(n):
+            table[a, b] = bool((ring.add_table[np.ix_(sets[a], sets[b])] == ring.one).any())
+    return table
+
+
 def idem_annihilator_scan(ring):
     """The same conclusion over regular pairs with r(a) meet r(b) = 0, with
     the first such pair that is not unimodular as the extra's example."""
@@ -363,3 +374,28 @@ def hunt_candidates_loop(default_specs, max_size):
             seen.add(s)
             ordered.append(s)
     return ordered
+
+
+# -- products by level ----------------------------------------------------------------
+#
+# The per-product loop that the table gathers of ringlab.classify._product_levels
+# replaced, kept as a reference: same values, same least predecessors.
+
+
+def product_levels_loop(ring, arity, factors):
+    """Products of `arity` elements drawn from `factors`, as value -> least
+    predecessor (p, c) maps per level, p ascending over the previous level and
+    c in the order of `factors`."""
+    mul = ring.mul_table
+    levels = [{int(a): None for a in factors}]
+    for _ in range(arity - 1):
+        prev = levels[-1]
+        nxt = {}
+        for p in sorted(prev):
+            row = mul[p]
+            for c in factors:
+                v = int(row[c])
+                if v not in nxt:
+                    nxt[v] = (p, int(c))
+        levels.append(nxt)
+    return levels

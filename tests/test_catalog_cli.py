@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -262,6 +265,22 @@ def test_cli_malformed_catalog_is_a_usage_error(capsys, tmp_path, data, message)
     assert message in captured.err
 
 
+def test_cli_unknown_tag_is_rejected_before_any_ring_is_built(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "typo.json"
+
+    def no_ring(*_, **__):
+        raise AssertionError("a ring was built before the tags were checked")
+
+    monkeypatch.setattr("ringlab.cli.parse_ring_spec", no_ring)
+    for tags in (["icc"], ["not-icc"]):
+        path.write_text(json.dumps([{"spec": "M2:Zn:5", "tags": tags}]))
+        code = main(["verify", "--suite", "all", "--catalog", str(path), "--no-cache"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "ringlab: error: unknown catalog tag 'icc'\n"
+
+
 def test_cli_decompose_table(capsys):
     code, out = run_cli(capsys, "decompose", "--ring", "Zn:6", "--element", "3",
                         "--format", "table", "--no-cache")
@@ -307,6 +326,33 @@ def test_cli_cache_round_trip(capsys, tmp_path):
     a = json.dumps(strip_timing(json.loads(cold)), sort_keys=True)
     b = json.dumps(strip_timing(json.loads(warm)), sort_keys=True)
     assert a == b
+
+
+def test_cache_file_is_the_sorted_json_dump_of_its_payload(tmp_path):
+    path = tmp_path / "cache.json"
+    cache = ResultCache(path, "0.1.0")
+    cache.put("Zn:6", "profile", {"ssp": {"holds": True, "checked": 4}, "size": 6})
+    cache.put("M2:Zn:2", "suite:C2.6", {"witnesses": {}, "conditions": {"2": True}})
+    cache.save()
+    payload = {"version": "0.1.0", "fingerprint": cache.fingerprint,
+               "entries": cache._entries}
+    assert path.read_bytes() == json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+def test_commands_never_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, so no command path uses it
+    script = ("import sys\n"
+              "from ringlab.cli import main\n"
+              "assert main(['verify', '--suite', 'all', '--no-cache', '--format', 'json']) == 0\n"
+              "assert main(['classify', '--ring', 'T2:Zn:3', '--no-cache']) == 0\n"
+              "print('numpy.ma' in sys.modules, file=sys.stderr)\n")
+    src = str(Path(__import__("ringlab").__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.strip().splitlines()[-1] == "False"
 
 
 def test_cache_version_invalidation(tmp_path):

@@ -1,9 +1,12 @@
 import gc
 import json
+import sys
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ringlab import (SUITE_NAMES, Verdict, default_catalog, direct_sum_cancellation,
@@ -16,8 +19,9 @@ from ringlab import (SUITE_NAMES, Verdict, default_catalog, direct_sum_cancellat
                      summand_idempotent, theorem_suite, unimodular_matrix,
                      unit_regular_witness)
 from ringlab import classify
-from ringlab.classify import _first_failure, special_clean_flags
-from ringlab.rings import make_opposite, summand_partners
+from ringlab.classify import (PRODUCT_ARITY_BOUND, _first_failure, _product_levels,
+                              special_clean_flags)
+from ringlab.rings import FiniteRing, make_opposite, summand_partners
 
 
 # -- individual predicates -------------------------------------------------------
@@ -119,6 +123,27 @@ def test_pair_kernels_match_the_pair_scans(spec):
         (expected.holds, expected.witness, expected.checked)
 
 
+@pytest.mark.parametrize("spec", [e.spec for e in default_catalog()]
+                         + ["op:M2:Zn:2", "T2:Zn:2", "T2:Zn:4", "T3:Zn:2", "op:T2:Zn:4"])
+def test_right_unimodular_matrix_matches_the_pair_scan(spec):
+    ring = parse_ring_spec(spec)
+    right = unimodular_matrix(ring, "right")
+    assert np.array_equal(right, oracles.right_unimodular_table(ring))
+    assert np.array_equal(right, unimodular_matrix(make_opposite(ring)))
+
+
+@pytest.mark.parametrize("spec", ["M2:Zn:4", "T2:Zn:3", "T3:Zn:2", "op:T2:Zn:4"])
+def test_right_sided_scan_witness_matches_the_opposite_ring(spec):
+    # over every right-unimodular pair, regular or not, the scan fails at the
+    # first a without a complement, so this covers the right-sided witness path
+    ring = parse_ring_spec(spec)
+    pairs = unimodular_matrix(ring, "right")
+    verdict = classify._idem_condition_over_pairs(ring, pairs, side="right")
+    cells = [(a, b) for a in ring.elements() for b in ring.elements() if pairs[a, b]]
+    assert verdict.holds is False
+    assert verdict == oracles._idem_scan(make_opposite(ring), cells)
+
+
 @pytest.mark.parametrize("spec", [e.spec for e in default_catalog()
                                   if parse_ring_spec(e.spec).is_commutative])
 def test_commutative_right_sided_verdict_skips_the_opposite_ring(spec, monkeypatch):
@@ -126,12 +151,32 @@ def test_commutative_right_sided_verdict_skips_the_opposite_ring(spec, monkeypat
     via_opposite = idem_sr_condition(make_opposite(ring))
     expected = Verdict(via_opposite.holds, via_opposite.witness, via_opposite.checked,
                        note="computed on the opposite ring; indices are shared with the original")
+    idem_sr_condition(ring)
+
+    def no_scan(*_, **__):
+        raise AssertionError("a commutative ring reuses its left-sided verdict")
+
+    monkeypatch.setattr(classify, "_idem_condition_over_pairs", no_scan)
+    assert idem_condition_right_sided.__wrapped__(ring) == expected
+
+
+@pytest.mark.parametrize("spec", [e.spec for e in default_catalog()])
+def test_no_profile_or_suite_builds_the_opposite_ring(spec, monkeypatch):
+    live = parse_ring_spec(spec)
+    # a copy with an empty memo, so every verdict is computed afresh
+    ring = FiniteRing(spec=live.spec, add_table=live.add_table, mul_table=live.mul_table,
+                      zero=live.zero, one=live.one, form=live.form)
 
     def no_opposite(ring):
-        raise AssertionError("a commutative ring is its own opposite")
+        raise AssertionError("a verdict built the opposite ring")
 
-    monkeypatch.setattr(classify, "make_opposite", no_opposite)
-    assert idem_condition_right_sided.__wrapped__(ring) == expected
+    for name, module in list(sys.modules.items()):
+        if (name == "ringlab" or name.startswith("ringlab.")) and \
+                getattr(module, "make_opposite", None) is make_opposite:
+            monkeypatch.setattr(module, "make_opposite", no_opposite)
+    assert ring_profile(ring).to_json() == ring_profile(live).to_json()
+    for name in SUITE_NAMES:
+        assert theorem_suite(ring, name) == theorem_suite(live, name)
 
 
 # rings of the summand test below whose verdicts fail, covering both witness paths
@@ -288,6 +333,42 @@ def test_product_condition_arity_bounds(z6):
         product_regular_condition(z6, 5)
 
 
+def _level_maps(levels):
+    """The arrays of _product_levels as the loop's value -> predecessor dicts."""
+    reached, pred_p, pred_c = levels[0]
+    assert pred_p is None and pred_c is None
+    maps = [{int(v): None for v in np.flatnonzero(reached)}]
+    for reached, pred_p, pred_c in levels[1:]:
+        assert (pred_p[~reached] == -1).all() and (pred_c[~reached] == -1).all()
+        maps.append({int(v): (int(pred_p[v]), int(pred_c[v]))
+                     for v in np.flatnonzero(reached)})
+    return maps
+
+
+def _assert_levels_match_the_loop(ring):
+    # the loop's levels for arity k are the first k levels of its arity-4 run
+    regs = regular_elements(ring)
+    expected = oracles.product_levels_loop(ring, PRODUCT_ARITY_BOUND, regs)
+    for arity in range(2, PRODUCT_ARITY_BOUND + 1):
+        assert _level_maps(_product_levels(ring, arity, regs)) == expected[:arity], arity
+    everything = list(range(ring.size))
+    assert _level_maps(_product_levels(ring, 2, np.arange(ring.size))) == \
+        oracles.product_levels_loop(ring, 2, everything)
+
+
+@pytest.mark.parametrize("spec", [e.spec for e in default_catalog()]
+                         + ["M3:Zn:2", "M2:Zn:5", "T2:Zn:9", "op:T2:Zn:4"])
+def test_product_levels_match_the_loop(spec):
+    _assert_levels_match_the_loop(parse_ring_spec(spec))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.integers(min_value=1, max_value=64).map(lambda n: f"Zn:{n}"),
+                 st.integers(min_value=1, max_value=5).map(lambda n: f"T2:Zn:{n}")))
+def test_product_levels_match_the_loop_on_modular_and_triangular_rings(spec):
+    _assert_levels_match_the_loop(parse_ring_spec(spec))
+
+
 def test_product_witness_is_deterministic(t2z3):
     a = product_regular_condition(t2z3, 2)
     b = product_regular_condition.__wrapped__(t2z3, 2)  # bypass the memo
@@ -423,8 +504,8 @@ def test_summand_partner_kernel_matches_frozenset_scan(spec):
 
 
 def test_ring_and_its_memo_are_freed_together():
-    # T2:Zn:2 is held by no fixture; R2.5 also builds the opposite ring, whose
-    # form refers back to this one
+    # T2:Zn:2 is held by no fixture, so once this test lets go of it the ring
+    # must be freed together with every table and verdict in its memo
     ring = parse_ring_spec("T2:Zn:2")
     ring_profile(ring)
     for name in SUITE_NAMES:
