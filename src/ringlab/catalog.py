@@ -15,7 +15,7 @@ import weakref
 from dataclasses import dataclass, field
 
 from .errors import LiteralParseError, SpecParseError
-from .rings import (DEFAULT_SIZE_CAP, element_from_obj, element_repr, make_matrix_ring,
+from .rings import (element_from_obj, element_repr, make_matrix_ring,
                     make_opposite, make_product, make_triangular_ring, make_zmod)
 
 _RING_CACHE = weakref.WeakValueDictionary()
@@ -30,42 +30,41 @@ def _parse_int(s, pos):
     return int(m.group()), m.end()
 
 
-def _parse_spec(s, pos, size_cap):
+def _parse_spec(s, pos):
     if s.startswith("Zn:", pos):
         n, end = _parse_int(s, pos + 3)
-        return make_zmod(n, size_cap=size_cap), end
+        return make_zmod(n), end
     if s.startswith("op:", pos):
-        base, end = _parse_spec(s, pos + 3, size_cap)
+        base, end = _parse_spec(s, pos + 3)
         return make_opposite(base), end
     if s.startswith("prod:", pos):
         factors = []
-        base, end = _parse_spec(s, pos + 5, size_cap)
+        base, end = _parse_spec(s, pos + 5)
         factors.append(base)
         while end < len(s) and s[end] == "+":
-            base, end = _parse_spec(s, end + 1, size_cap)
+            base, end = _parse_spec(s, end + 1)
             factors.append(base)
-        return make_product(factors, size_cap=size_cap), end
+        return make_product(factors), end
     if pos < len(s) and s[pos] in "MT":
         kind = s[pos]
         k, end = _parse_int(s, pos + 1)
         if end >= len(s) or s[end] != ":":
             raise SpecParseError("expected ':' after the matrix dimension", s, end)
-        base, end = _parse_spec(s, end + 1, size_cap)
+        base, end = _parse_spec(s, end + 1)
         maker = make_matrix_ring if kind == "M" else make_triangular_ring
-        return maker(k, base, size_cap=size_cap), end
+        return maker(k, base), end
     raise SpecParseError("expected one of Zn:, M<k>:, T<k>:, prod:, op:", s, pos)
 
 
-def parse_ring_spec(s, size_cap=DEFAULT_SIZE_CAP):
+def parse_ring_spec(s):
     """Construct the ring named by a spec string, or return the live one."""
-    key = (s, size_cap)
-    ring = _RING_CACHE.get(key)
+    ring = _RING_CACHE.get(s)
     if ring is not None:
         return ring
-    ring, end = _parse_spec(s, 0, size_cap)
+    ring, end = _parse_spec(s, 0)
     if end != len(s):
         raise SpecParseError("unexpected trailing text", s, end)
-    _RING_CACHE[key] = ring
+    _RING_CACHE[s] = ring
     return ring
 
 

@@ -4,7 +4,7 @@ Exit codes: 0 when every assertion in the run passed, 1 when an assertion
 failed (the report carries the witnesses), 2 for usage, parse, or capacity
 errors and for inputs outside a command's hypotheses (decompose needs a ring
 with ssp and ic, and a regular unimodular pair). All subcommands share
---format table|json|csv, --cache/--no-cache, and --jobs.
+--format table|json|csv and --cache/--no-cache; verify also takes --jobs.
 """
 
 from __future__ import annotations
@@ -281,7 +281,6 @@ def _build_parser():
     common.add_argument("--format", choices=("table", "json", "csv"), default="table")
     common.add_argument("--cache", default=None, help="path of the result cache file")
     common.add_argument("--no-cache", action="store_true", help="disable the result cache")
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers for per-ring scans")
 
     parser = argparse.ArgumentParser(prog="ringlab",
                                      description="finite-ring classification and "
@@ -304,6 +303,7 @@ def _build_parser():
                        help="run equivalence suites over the ring catalog")
     p.add_argument("--suite", default="all", help=f"one of {('all',) + SUITE_NAMES}")
     p.add_argument("--catalog", default=None, help="path of a JSON catalog file")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers for per-ring scans")
 
     p = sub.add_parser("hunt", parents=[common],
                        help="search rings matching a property expression")
@@ -320,14 +320,15 @@ def _make_cache(args):
     return ResultCache(path, __version__)
 
 
-def _emit(args, report, table_pieces):
+def _emit(args, report, *make_rows):
+    """Write the report; each of make_rows returns (headers, rows) and is
+    called only for the table and csv formats (csv writes the first)."""
     if args.format == "json":
         sys.stdout.write(render_json(report))
     elif args.format == "csv":
-        headers, rows = table_pieces[0]
-        sys.stdout.write(render_csv(headers, rows))
+        sys.stdout.write(render_csv(*make_rows[0]()))
     else:
-        parts = [render_table(headers, rows) for headers, rows in table_pieces]
+        parts = [render_table(*rows()) for rows in make_rows]
         sys.stdout.write("\n".join(parts))
 
 
@@ -345,7 +346,7 @@ def main(argv=None):
             report.update(section)
             report["status"] = "pass"
             report["timing"] = {"total_s": time.perf_counter() - start}
-            _emit(args, report, [profile_rows(section["profiles"][0])])
+            _emit(args, report, lambda: profile_rows(section["profiles"][0]))
             code = 0
 
         elif args.cmd == "decompose":
@@ -356,7 +357,7 @@ def main(argv=None):
             ok = section["verification"]["all_passed"]
             report["status"] = "pass" if ok else "fail"
             report["timing"] = {"total_s": time.perf_counter() - start}
-            _emit(args, report, [decompose_rows(section)])
+            _emit(args, report, lambda: decompose_rows(section))
             code = 0 if ok else 1
 
         elif args.cmd == "verify":
@@ -368,8 +369,8 @@ def main(argv=None):
             report.update(section)
             report["timing"] = {"total_s": time.perf_counter() - start,
                                 "per_ring_s": timing}
-            _emit(args, report, [suite_rows(section["suites"]),
-                                 tag_rows(section["catalog"])])
+            _emit(args, report, lambda: suite_rows(section["suites"]),
+                  lambda: tag_rows(section["catalog"]))
             code = 0 if ok else 1
 
         else:  # hunt
@@ -379,7 +380,7 @@ def main(argv=None):
             report.update(section)
             report["status"] = "pass"
             report["timing"] = {"total_s": time.perf_counter() - start}
-            _emit(args, report, [hunt_rows(section["matches"])])
+            _emit(args, report, lambda: hunt_rows(section["matches"]))
             code = 0
 
     except (SpecParseError, LiteralParseError, CapacityError,

@@ -4,12 +4,15 @@ A ring is a pair of size x size index tables (addition, multiplication)
 over the canonical element ordering 0..size-1, plus the indices of 0 and 1.
 Constructors cover modular rings, full and upper-triangular matrix rings,
 finite products, and opposite rings; each records a canonical spec string
-so results are reproducible and reports self-describing.
+so results are reproducible and reports self-describing. The element
+ordering of matrix shapes and products is the mixed-radix one that encode
+and decode define; every table and element literal is built through them.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -294,27 +297,45 @@ class RingElement:
 # -- constructors ------------------------------------------------------------
 
 
-def _check_cap(size, cap):
-    if cap is not None and size > cap:
-        raise CapacityError(size, cap)
+def _check_cap(size):
+    if size > DEFAULT_SIZE_CAP:
+        raise CapacityError(size, DEFAULT_SIZE_CAP)
 
 
-def make_zmod(n, size_cap=DEFAULT_SIZE_CAP):
+def encode(radices, digits):
+    """The index of a digit sequence in the mixed-radix element order, first
+    digit most significant. Digits are ints, or int32 arrays of one shape that
+    are accumulated in place into a new array; from a generator, each digit
+    array is freed before the next is made."""
+    index = 0
+    digits = iter(digits)
+    for radix in radices:
+        index *= radix
+        index += next(digits)
+    return index
+
+
+def decode(radices, index):
+    """The digits of an index (an int or an int32 array), inverse of encode."""
+    digits = []
+    for radix in reversed(radices):
+        index, digit = divmod(index, radix)
+        digits.append(digit)
+    return digits[::-1]
+
+
+def make_zmod(n):
     """The ring of integers mod n with elements 0..n-1; spec "Zn:<n>"."""
     if n < 1:
-        raise ValueError("modulus must be at least 1 (got 0)")
-    _check_cap(n, size_cap)
-    r = np.arange(n)
-    add = np.add.outer(r, r) % n
-    mul = np.multiply.outer(r, r) % n
+        raise ValueError(f"modulus must be at least 1 (got {n})")
+    _check_cap(n)
+    r = np.arange(n, dtype=np.int32)
+    add = np.add.outer(r, r)
+    add %= n
+    mul = np.multiply.outer(r, r)
+    mul %= n
     return FiniteRing(spec=f"Zn:{n}", add_table=add, mul_table=mul,
                       zero=0, one=1 % n, form=("zmod", n))
-
-
-def _decode_digits(size, cells, radix):
-    powers = radix ** np.arange(cells - 1, -1, -1, dtype=np.int64)
-    idx = np.arange(size, dtype=np.int64)
-    return ((idx[:, None] // powers[None, :]) % radix).astype(np.int32)
 
 
 def positions(kind, k):
@@ -325,86 +346,62 @@ def positions(kind, k):
     return [(i, j) for i in range(k) for j in range(i, k)]
 
 
-def _matrix_shape_ring(kind, k, base, size_cap):
-    """k x k matrices over `base` stored on positions(kind, k), enumerated
-    lexicographically over the stored cells."""
+def _matrix_shape_ring(kind, k, base):
+    """k x k matrices over `base` stored on positions(kind, k), the first
+    stored cell most significant."""
     if k < 1:
         raise ValueError("matrix dimension must be at least 1")
     support = positions(kind, k)
-    cells = len(support)
-    size = base.size ** cells
-    _check_cap(size, size_cap)
-    digits = _decode_digits(size, cells, base.size)
+    radices = [base.size] * len(support)
+    size = math.prod(radices)
+    _check_cap(size)
+    cells = decode(radices, np.arange(size, dtype=np.int32))
+    entry = dict(zip(support, cells))
+    badd, bmul = base.add_table, base.mul_table
+    add = encode(radices, (badd[np.ix_(c, c)] for c in cells))
 
-    # full k x k entry grid with zeros off the support
-    grid = np.full((size, k, k), base.zero, dtype=np.int32)
-    for c, (i, j) in enumerate(support):
-        grid[:, i, j] = digits[:, c]
+    # cell (p, q) of i*j depends on i only through row p and on j only
+    # through column q: key both by their k-digit encodings (zero off the
+    # support) and read the cell from one table of row-by-column products
+    line = [base.size] * k
+    row_key = [encode(line, [entry.get((p, l), base.zero) for l in range(k)]) for p in range(k)]
+    col_key = [encode(line, [entry.get((l, q), base.zero) for l in range(k)]) for q in range(k)]
+    dot = np.full((math.prod(line),) * 2, base.zero, dtype=np.int32)
+    for v in decode(line, np.arange(math.prod(line), dtype=np.int32)):
+        dot = badd[dot, bmul[np.ix_(v, v)]]
+    mul = encode(radices, (dot[np.ix_(row_key[p], col_key[q])] for p, q in support))
 
-    # each table is built cell by cell, index = index * radix + digit, so no
-    # (size, size, cells) digit array is ever held
-    badd = base.add_table
-    bmul = base.mul_table
-    add = np.zeros((size, size), dtype=np.int32)
-    mul = np.zeros((size, size), dtype=np.int32)
-    for c, (p, q) in enumerate(support):
-        col = digits[:, c]
-        add *= base.size
-        add += badd[np.ix_(col, col)]
-        acc = np.full((size, size), base.zero, dtype=np.int32)
-        for l in range(k):
-            acc = badd[acc, bmul[np.ix_(grid[:, p, l], grid[:, l, q])]]
-        mul *= base.size
-        mul += acc
-
-    one = 0
-    for i, j in support:
-        one = one * base.size + (base.one if i == j else base.zero)
+    one = encode(radices, [base.one if i == j else base.zero for i, j in support])
     prefix = "M" if kind == "matrix" else "T"
     return FiniteRing(spec=f"{prefix}{k}:{base.spec}", add_table=add, mul_table=mul,
                       zero=0, one=one, form=(kind, k, base))
 
 
-def make_matrix_ring(k, base, size_cap=DEFAULT_SIZE_CAP):
+def make_matrix_ring(k, base):
     """Full k x k matrices over `base`, enumerated row-major lexicographically."""
-    return _matrix_shape_ring("matrix", k, base, size_cap)
+    return _matrix_shape_ring("matrix", k, base)
 
 
-def make_triangular_ring(k, base, size_cap=DEFAULT_SIZE_CAP):
+def make_triangular_ring(k, base):
     """Upper-triangular k x k matrices over `base`; lower cells stay zero."""
-    return _matrix_shape_ring("triangular", k, base, size_cap)
+    return _matrix_shape_ring("triangular", k, base)
 
 
-def make_product(factors, size_cap=DEFAULT_SIZE_CAP):
-    """Componentwise product of the given rings, mixed-radix element order."""
+def make_product(factors):
+    """Componentwise product of the given rings, the first factor most
+    significant."""
     if not factors:
         raise ValueError("product needs at least one factor")
-    size = 1
-    for f in factors:
-        size *= f.size
-    _check_cap(size, size_cap)
-
-    sizes = [f.size for f in factors]
-    weights = []
-    w = size
-    for s in sizes:
-        w //= s
-        weights.append(w)
-
-    idx = np.arange(size, dtype=np.int64)
-    comps = [((idx // weights[i]) % sizes[i]).astype(np.int32) for i in range(len(factors))]
-
-    add = np.zeros((size, size), dtype=np.int64)
-    mul = np.zeros((size, size), dtype=np.int64)
-    for i, f in enumerate(factors):
-        c = comps[i]
-        add += f.add_table[np.ix_(c, c)].astype(np.int64) * weights[i]
-        mul += f.mul_table[np.ix_(c, c)].astype(np.int64) * weights[i]
-
-    one = sum(f.one * weights[i] for i, f in enumerate(factors))
+    radices = [f.size for f in factors]
+    size = math.prod(radices)
+    _check_cap(size)
+    comps = decode(radices, np.arange(size, dtype=np.int32))
+    add = encode(radices, (f.add_table[np.ix_(c, c)] for f, c in zip(factors, comps)))
+    mul = encode(radices, (f.mul_table[np.ix_(c, c)] for f, c in zip(factors, comps)))
     spec = "prod:" + "+".join(f.spec for f in factors)
-    return FiniteRing(spec=spec, add_table=add, mul_table=mul,
-                      zero=0, one=int(one), form=("product", tuple(factors)))
+    return FiniteRing(spec=spec, add_table=add, mul_table=mul, zero=0,
+                      one=encode(radices, [f.one for f in factors]),
+                      form=("product", tuple(factors)))
 
 
 def make_opposite(ring):
@@ -427,19 +424,13 @@ def element_to_obj(ring, idx):
     if kind in ("matrix", "triangular"):
         k, base = ring.form[1], ring.form[2]
         cells = positions(kind, k)
-        digits = _decode_digits(ring.size, len(cells), base.size)[idx]
-        rows = [[element_to_obj(base, base.zero) for _ in range(k)] for _ in range(k)]
-        for c, (i, j) in enumerate(cells):
-            rows[i][j] = element_to_obj(base, int(digits[c]))
-        return rows
+        entry = dict(zip(cells, decode([base.size] * len(cells), int(idx))))
+        return [[element_to_obj(base, entry.get((i, j), base.zero)) for j in range(k)]
+                for i in range(k)]
     if kind == "product":
         factors = ring.form[1]
-        out = []
-        rest = int(idx)
-        for f in reversed(factors):
-            out.append(element_to_obj(f, rest % f.size))
-            rest //= f.size
-        return tuple(reversed(out))
+        digits = decode([f.size for f in factors], int(idx))
+        return tuple(element_to_obj(f, d) for f, d in zip(factors, digits))
     if kind == "opposite":
         return element_to_obj(ring.form[1], idx)
     raise LiteralParseError(f"ring {ring.spec} has no literal form")
@@ -463,20 +454,17 @@ def element_from_obj(ring, obj):
                     if element_from_obj(base, rows[i][j]) != base.zero:
                         raise LiteralParseError(
                             f"entry ({i},{j}) must be zero in the triangular ring {ring.spec}")
-        idx = 0
-        for i, j in positions(kind, k):
-            idx = idx * base.size + element_from_obj(base, rows[i][j])
-        return idx
+        cells = positions(kind, k)
+        return encode([base.size] * len(cells),
+                      (element_from_obj(base, rows[i][j]) for i, j in cells))
     if kind == "product":
         factors = ring.form[1]
         parts = tuple(obj)
         if len(parts) != len(factors):
             raise LiteralParseError(
                 f"expected a {len(factors)}-tuple literal for {ring.spec}")
-        idx = 0
-        for f, p in zip(factors, parts):
-            idx = idx * f.size + element_from_obj(f, p)
-        return idx
+        return encode([f.size for f in factors],
+                      (element_from_obj(f, p) for f, p in zip(factors, parts)))
     if kind == "opposite":
         return element_from_obj(ring.form[1], obj)
     raise LiteralParseError(f"ring {ring.spec} has no literal form")

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 
 from ringlab import InvariantViolation, Verdict
-from ringlab.rings import positions
+from ringlab.rings import FiniteRing, positions
 
 
 # -- integers mod n ------------------------------------------------------------
@@ -299,10 +299,10 @@ def module_hom_validate_loop(hom):
 # -- matrix-shape tables from full digit arrays -------------------------------------
 
 
-def matrix_shape_tables_by_digits(kind, k, base):
+def matrix_shape_tables_by_digits(kind, k, base, block=256):
     """(add, mul) of k x k matrices over `base` on positions(kind, k), built as
-    the (size, size, cells) digit arrays of every sum and product and then
-    encoded, first cell most significant."""
+    the (rows, size, cells) digit arrays of every sum and product, for a block
+    of left operands at a time, and then encoded, first cell most significant."""
     support = positions(kind, k)
     cells = len(support)
     size = base.size ** cells
@@ -312,16 +312,56 @@ def matrix_shape_tables_by_digits(kind, k, base):
     for c, (i, j) in enumerate(support):
         grid[:, i, j] = digits[:, c]
     badd, bmul = base.add_table, base.mul_table
-    add_digits = np.empty((size, size, cells), dtype=np.int32)
-    mul_digits = np.empty((size, size, cells), dtype=np.int32)
-    for c, (p, q) in enumerate(support):
-        add_digits[:, :, c] = badd[np.ix_(digits[:, c], digits[:, c])]
-        acc = np.full((size, size), base.zero, dtype=np.int32)
-        for l in range(k):
-            acc = badd[acc, bmul[grid[:, p, l][:, None], grid[:, l, q][None, :]]]
-        mul_digits[:, :, c] = acc
-    return tuple((d.astype(np.int64) @ powers).astype(np.int32)
-                 for d in (add_digits, mul_digits))
+    add = np.empty((size, size), dtype=np.int32)
+    mul = np.empty((size, size), dtype=np.int32)
+    for lo in range(0, size, block):
+        left, left_grid = digits[lo:lo + block], grid[lo:lo + block]
+        add_digits = np.empty((len(left), size, cells), dtype=np.int32)
+        mul_digits = np.empty((len(left), size, cells), dtype=np.int32)
+        for c, (p, q) in enumerate(support):
+            add_digits[:, :, c] = badd[np.ix_(left[:, c], digits[:, c])]
+            acc = np.full((len(left), size), base.zero, dtype=np.int32)
+            for l in range(k):
+                acc = badd[acc, bmul[left_grid[:, p, l][:, None], grid[:, l, q][None, :]]]
+            mul_digits[:, :, c] = acc
+        add[lo:lo + block] = add_digits.astype(np.int64) @ powers
+        mul[lo:lo + block] = mul_digits.astype(np.int64) @ powers
+    return add, mul
+
+
+# -- product tables from int64 weights ------------------------------------------------
+
+
+def product_tables_by_weights(factors):
+    """Componentwise product of the given rings, mixed-radix element order,
+    each table summed in int64 over the factors times their place weights."""
+    if not factors:
+        raise ValueError("product needs at least one factor")
+    size = 1
+    for f in factors:
+        size *= f.size
+
+    sizes = [f.size for f in factors]
+    weights = []
+    w = size
+    for s in sizes:
+        w //= s
+        weights.append(w)
+
+    idx = np.arange(size, dtype=np.int64)
+    comps = [((idx // weights[i]) % sizes[i]).astype(np.int32) for i in range(len(factors))]
+
+    add = np.zeros((size, size), dtype=np.int64)
+    mul = np.zeros((size, size), dtype=np.int64)
+    for i, f in enumerate(factors):
+        c = comps[i]
+        add += f.add_table[np.ix_(c, c)].astype(np.int64) * weights[i]
+        mul += f.mul_table[np.ix_(c, c)].astype(np.int64) * weights[i]
+
+    one = sum(f.one * weights[i] for i, f in enumerate(factors))
+    spec = "prod:" + "+".join(f.spec for f in factors)
+    return FiniteRing(spec=spec, add_table=add, mul_table=mul,
+                      zero=0, one=int(one), form=("product", tuple(factors)))
 
 
 # -- unit inverses, additive closure and hunt candidates -----------------------------

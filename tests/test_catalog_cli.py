@@ -399,6 +399,31 @@ def test_cache_env_override(monkeypatch, tmp_path):
     assert default_cache_path().name == "results.json"
 
 
+def test_cli_json_builds_no_table_rows(capsys, monkeypatch):
+    argv = ("verify", "--suite", "all", "--format", "json", "--no-cache")
+    _, want = run_cli(capsys, *argv)
+
+    def forbidden(*_):
+        raise AssertionError("a JSON report built table rows")
+
+    monkeypatch.setattr("ringlab.cli.suite_rows", forbidden)
+    monkeypatch.setattr("ringlab.cli.tag_rows", forbidden)
+    code, got = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.dumps(strip_timing(json.loads(got)), sort_keys=True) == \
+        json.dumps(strip_timing(json.loads(want)), sort_keys=True)
+
+
+@pytest.mark.parametrize("argv", [("classify", "--ring", "Zn:6"),
+                                  ("decompose", "--ring", "Zn:6", "--element", "3"),
+                                  ("hunt", "--property", "ic", "--max-size", "6")])
+def test_only_verify_takes_jobs(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
 def test_cli_jobs_matches_serial(capsys):
     _, serial = run_cli(capsys, "verify", "--suite", "C2.6", "--format", "json",
                         "--no-cache", "--jobs", "1")

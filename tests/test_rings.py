@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,11 @@ from ringlab import (CapacityError, RingMismatchError, element_from_obj,
                      element_repr, element_to_obj, make_matrix_ring,
                      make_opposite, make_product, make_triangular_ring, make_zmod,
                      parse_element, parse_ring_spec)
-from ringlab.rings import FiniteRing
+from ringlab.rings import FiniteRing, decode, encode
+
+
+def same_table(got, want):
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 # -- modular rings ---------------------------------------------------------------
@@ -23,6 +29,20 @@ def test_zero_ring():
 def test_zmod_rejects_zero_modulus():
     with pytest.raises(ValueError):
         make_zmod(0)
+
+
+def test_zmod_error_names_the_modulus():
+    with pytest.raises(ValueError, match=r"\(got -3\)"):
+        make_zmod(-3)
+
+
+def test_zmod_tables_match_the_int64_outer_tables():
+    for n in range(1, 65):
+        ring = make_zmod(n)
+        r = np.arange(n, dtype=np.int64)
+        assert same_table(ring.add_table, (np.add.outer(r, r) % n).astype(np.int32))
+        assert same_table(ring.mul_table, (np.multiply.outer(r, r) % n).astype(np.int32))
+        assert ring.one == 1 % n
 
 
 def test_z6_every_element_regular(z6):
@@ -127,13 +147,18 @@ def test_matrix_tables_match_tuple_oracle():
             assert elems[ring.add(i, j)] == expect
 
 
-@pytest.mark.parametrize("spec, kind, k, n", [("M2:Zn:3", "matrix", 2, 3),
-                                               ("T2:Zn:4", "triangular", 2, 4)])
-def test_matrix_shape_tables_match_the_digit_arrays(spec, kind, k, n):
+@pytest.mark.parametrize("spec, kind, k, base", [
+    ("M2:Zn:3", "matrix", 2, "Zn:3"), ("T2:Zn:4", "triangular", 2, "Zn:4"),
+    ("M1:Zn:6", "matrix", 1, "Zn:6"), ("T1:Zn:5", "triangular", 1, "Zn:5"),
+    ("T3:Zn:3", "triangular", 3, "Zn:3"), ("M2:T2:Zn:2", "matrix", 2, "T2:Zn:2"),
+    ("T2:M2:Zn:2", "triangular", 2, "M2:Zn:2")])
+def test_matrix_shape_tables_match_the_digit_arrays(spec, kind, k, base):
     ring = parse_ring_spec(spec)
-    add, mul = oracles.matrix_shape_tables_by_digits(kind, k, make_zmod(n))
-    for got, want in ((ring.add_table, add), (ring.mul_table, mul)):
-        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    base = parse_ring_spec(base)
+    add, mul = oracles.matrix_shape_tables_by_digits(kind, k, base)
+    assert same_table(ring.add_table, add) and same_table(ring.mul_table, mul)
+    elements = np.arange(ring.size)
+    assert (mul[ring.one] == elements).all() and (mul[:, ring.one] == elements).all()
 
 
 def test_triangular_z3_has_27_elements(t2z3):
@@ -168,6 +193,16 @@ def test_product_single_factor_is_identity(z6):
     prod = make_product([z6])
     assert np.array_equal(prod.add_table, z6.add_table)
     assert np.array_equal(prod.mul_table, z6.mul_table)
+
+
+@pytest.mark.parametrize("spec", ["prod:Zn:2+Zn:3", "prod:Zn:2+Zn:3+Zn:5",
+                                  "prod:Zn:4+M2:Zn:2", "prod:Zn:64+Zn:64"])
+def test_product_tables_match_the_weighted_sums(spec):
+    ring = parse_ring_spec(spec)
+    want = oracles.product_tables_by_weights(list(ring.form[1]))
+    assert same_table(ring.add_table, want.add_table)
+    assert same_table(ring.mul_table, want.mul_table)
+    assert ring.one == want.one
 
 
 def test_product_z2_z2_has_4_idempotents():
@@ -262,6 +297,28 @@ def test_literal_roundtrip(t2z3, m2z2):
         for idx in range(0, ring.size, 5):
             text = element_repr(ring, idx)
             assert parse_element(ring, text) == idx
+
+
+@pytest.mark.parametrize("spec", ["M2:Zn:3", "T2:Zn:4", "prod:Zn:2+Zn:3+Zn:5",
+                                  "M2:T2:Zn:2", "op:T2:Zn:3"])
+def test_every_element_round_trips_through_its_literal(spec):
+    ring = parse_ring_spec(spec)
+    assert all(element_from_obj(ring, element_to_obj(ring, i)) == i for i in range(ring.size))
+
+
+def test_encode_and_decode_are_inverse():
+    radices = [3, 1, 4, 2]
+    index = np.arange(24, dtype=np.int32)
+    digits = decode(radices, index)
+    assert all(d.dtype == np.int32 for d in digits)
+    assert [d.tolist() for d in digits] == [list(t) for t in zip(*itertools.product(
+        range(3), range(1), range(4), range(2)))]
+    back = encode(radices, iter(digits))
+    assert back.dtype == np.int32 and back.tolist() == index.tolist()
+    for i in range(24):
+        assert encode(radices, decode(radices, i)) == i
+        assert decode(radices, i) == [int(d[i]) for d in digits]
+    assert encode([5], [3]) == 3 and decode([], 0) == [] and encode([], []) == 0
 
 
 def test_literal_negative_entries_reduce(z6, t2z3):
