@@ -36,5 +36,5 @@ for name in SUITE_NAMES:
     print(f"  {name}: conditions {rep['conditions']}  equivalent: {rep['equivalent']}")
 
 print("\n== one full profile as JSON ==")
-print(json.dumps(ring_profile(parse_ring_spec("Zn:12")).to_json(),
+print(json.dumps(ring_profile(parse_ring_spec("Zn:12")),
                  indent=2, sort_keys=True))

@@ -11,12 +11,11 @@ __version__ = "0.1.0"
 
 from .catalog import (CatalogEntry, default_catalog, format_element, load_catalog,
                       parse_element, parse_ring_spec, verify_entry_tags)
-from .classify import (RingProfile, SUITE_NAMES, Verdict, direct_sum_cancellation,
-                       has_stable_range_1, idem_condition_annihilator,
-                       idem_condition_right_sided, idem_sr_condition, is_abelian,
-                       is_ic, is_sip, is_ssp, product_regular_condition, ring_profile,
-                       ring_unit_regular, right_sided_certificate,
-                       sided_condition_variants, theorem_suite, unimodular_matrix)
+from .classify import (SUITE_NAMES, Verdict, direct_sum_cancellation, has_stable_range_1,
+                       idem_condition_annihilator, idem_condition_right_sided,
+                       idem_sr_condition, is_abelian, is_ic, is_sip, is_ssp,
+                       product_regular_condition, ring_profile, ring_unit_regular,
+                       right_sided_certificate, theorem_suite, unimodular_matrix)
 from .decompose import (ConstructionTrace, idempotent_witness_set, solve_unimodular,
                         special_clean_decompose, unique_special_clean_abelian,
                         verify_trace)

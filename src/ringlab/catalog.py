@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import re
 import weakref
 from dataclasses import dataclass, field
 
 from .errors import LiteralParseError, SpecParseError
-from .rings import (element_from_obj, element_repr, make_matrix_ring,
+from .rings import (check_cap, element_from_obj, element_repr, make_matrix_ring,
                     make_opposite, make_product, make_triangular_ring, make_zmod)
 
 _RING_CACHE = weakref.WeakValueDictionary()
@@ -38,12 +39,12 @@ def _parse_spec(s, pos):
         base, end = _parse_spec(s, pos + 3)
         return make_opposite(base), end
     if s.startswith("prod:", pos):
-        factors = []
-        base, end = _parse_spec(s, pos + 5)
-        factors.append(base)
-        while end < len(s) and s[end] == "+":
+        factors, end = [], pos + 4  # at the ':' or '+' before each factor
+        while not factors or (end < len(s) and s[end] == "+"):
             base, end = _parse_spec(s, end + 1)
             factors.append(base)
+            # checked per factor, so none is built once the product is over the cap
+            check_cap(math.prod(f.size for f in factors))
         return make_product(factors), end
     if pos < len(s) and s[pos] in "MT":
         kind = s[pos]

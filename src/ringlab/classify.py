@@ -8,7 +8,7 @@ a named result independently and then assert the expected pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,6 +94,16 @@ def _first_failure(U, ok):
     return (a, b), int(np.count_nonzero(U[:a]) + np.count_nonzero(U[a, :b + 1]))
 
 
+def _table_verdict(U, ok, witness):
+    """The verdict of the _first_failure scan: it holds when ok is true on
+    every true cell of U, and otherwise fails with witness(a, b) of the first
+    cell where ok is false."""
+    cell, checked = _first_failure(U, ok)
+    if cell is None:
+        return Verdict(True, checked=checked)
+    return Verdict(False, witness=witness(*cell), checked=checked)
+
+
 @per_ring
 def unimodular_matrix(ring, side="left"):
     """Boolean table U[a, b] = (Ra + Rb = R), computed per left-ideal class:
@@ -132,42 +142,31 @@ def is_ssp(ring):
     """Sum of any two summands of the right regular module is a summand.
 
     For idempotents e, f the sum eR + fR is eR (+) (1-e)fR (x in eR meet
-    (1-e)R gives x = ex = 0), so it has |eR| * |(1-e)fR| elements and is a
-    summand iff some summand gR of that size contains eR and fR.
+    (1-e)R gives x = ex = 0), and a summand containing eR is eR (+) its part
+    in (1-e)R. So eR + fR is a summand iff (1-e)fR is one, that is iff (1-e)f
+    is regular: one read of the regularity table per pair.
     """
-    masks = ring.right_masks
-    is_summand = {}
-    checked = 0
-    for e in ring.idempotent_list:
-        eR, one_minus_e = masks[e], ring.one_minus(e)
-        for f in ring.idempotent_list:
-            fR, rest = masks[f], masks[ring.mul(one_minus_e, f)]
-            size = eR.bit_count() * rest.bit_count()
-            key = (eR, rest, fR)
-            if key not in is_summand:
-                union = eR | fR
-                is_summand[key] = any(g & union == union and g.bit_count() == size
-                                      for g in ring.summand_table)
-            checked += 1
-            if not is_summand[key]:
-                return Verdict(False, witness={"idempotents": [int(e), int(f)],
-                                               "sum_size": size}, checked=checked)
-    return Verdict(True, checked=checked)
+    E = np.array(ring.idempotent_list, dtype=np.intp)
+    P = ring.mul_table[np.ix_(ring.add_table[ring.one, ring.neg_table[E]], E)]
+    regular, _ = regularity_table(ring)
+
+    def witness(i, j):
+        masks = ring.right_masks
+        return {"idempotents": [int(E[i]), int(E[j])],
+                "sum_size": masks[E[i]].bit_count() * masks[P[i, j]].bit_count()}
+
+    ok = regular[P]
+    return _table_verdict(np.ones_like(ok), ok, witness)
 
 
 @per_ring
 def is_sip(ring):
     """Intersection of any two summands is a summand."""
-    masks, table = ring.right_masks, ring.summand_table
-    checked = 0
-    for e in ring.idempotent_list:
-        for f in ring.idempotent_list:
-            meet = masks[e] & masks[f]
-            checked += 1
-            if meet not in table:
-                return Verdict(False, witness={"idempotents": [int(e), int(f)],
-                                               "meet_size": meet.bit_count()}, checked=checked)
-    return Verdict(True, checked=checked)
+    masks, E = ring.right_masks, ring.idempotent_list
+    meets = [[masks[e] & masks[f] for f in E] for e in E]
+    ok = np.array([[m in ring.summand_table for m in row] for row in meets], dtype=bool)
+    return _table_verdict(np.ones_like(ok), ok, lambda i, j: {
+        "idempotents": [E[i], E[j]], "meet_size": meets[i][j].bit_count()})
 
 
 @per_ring
@@ -184,16 +183,16 @@ def is_ic(ring):
 
 @per_ring
 def is_abelian(ring):
-    """Every idempotent commutes with every element."""
-    checked = 0
-    for e in ring.idempotent_list:
-        row, col = ring.mul_table[e], ring.mul_table[:, e]
-        checked += ring.size
-        diff = np.flatnonzero(row != col)
-        if diff.size:
-            return Verdict(False, witness={"idempotent": int(e), "element": int(diff[0])},
-                           checked=checked)
-    return Verdict(True, checked=checked)
+    """Every idempotent commutes with every element; `checked` counts the
+    elements of the idempotent rows scanned."""
+    E, mul = list(ring.idempotent_list), ring.mul_table
+    differs = mul[E] != mul[:, E].T
+    bad = np.flatnonzero(differs.any(axis=1))
+    if not bad.size:
+        return Verdict(True, checked=len(E) * ring.size)
+    i = int(bad[0])
+    return Verdict(False, witness={"idempotent": E[i], "element": int(differs[i].argmax())},
+                   checked=(i + 1) * ring.size)
 
 
 @per_ring
@@ -212,10 +211,8 @@ def has_stable_range_1(ring):
         has_unit = np.zeros(ring.size, dtype=bool)
         has_unit[coset[units]] = True
         ok_by_class[:, c] = has_unit[coset]
-    cell, checked = _first_failure(unimodular_matrix(ring), ok_by_class[:, labels])
-    if cell is None:
-        return Verdict(True, checked=checked)
-    return Verdict(False, witness={"pair": list(cell)}, checked=checked)
+    return _table_verdict(unimodular_matrix(ring), ok_by_class[:, labels],
+                          lambda a, b: {"pair": [a, b]})
 
 
 def _idem_condition_over_pairs(ring, pairs, side="left"):
@@ -239,13 +236,8 @@ def _idem_condition_over_pairs(ring, pairs, side="left"):
             products = mul[list(complements)]
             for a in rows:
                 ok[a] = units[add[a]][products].any(axis=0)
-    cell, checked = _first_failure(pairs, ok)
-    if cell is None:
-        return Verdict(True, checked=checked)
-    return Verdict(False,
-                   witness={"pair": list(cell),
-                            "idempotents_tried": list(ring.idempotent_list)},
-                   checked=checked)
+    return _table_verdict(pairs, ok, lambda a, b: {
+        "pair": [a, b], "idempotents_tried": list(ring.idempotent_list)})
 
 
 def _regular_pairs(ring):
@@ -307,11 +299,6 @@ def right_sided_certificate(ring, a, b):
         if ring.unit_flags[ring.add(a, ring.mul(b, e))]:
             return e
     return None
-
-
-def sided_condition_variants(ring):
-    """(annihilator-hypothesis verdict, right-sided verdict)."""
-    return idem_condition_annihilator(ring), idem_condition_right_sided(ring)
 
 
 def _product_levels(ring, arity, factors):
@@ -403,12 +390,13 @@ def _literal_products_special_clean(ring, arity):
 
 
 @per_ring
-def direct_sum_cancellation(ring, max_size=CANCELLATION_SIZE_BOUND):
+def direct_sum_cancellation(ring):
     """Isomorphic first summands force isomorphic complements, over all
-    internal decompositions R = A (+) B into summand pairs."""
-    if ring.size > max_size:
+    internal decompositions R = A (+) B into summand pairs; skipped above
+    CANCELLATION_SIZE_BOUND."""
+    if ring.size > CANCELLATION_SIZE_BOUND:
         return Verdict(None, note=f"skipped: ring size {ring.size} exceeds "
-                                  f"the enumeration bound {max_size}")
+                                  f"the enumeration bound {CANCELLATION_SIZE_BOUND}")
     partners = summand_partners(ring, "right")
     summands = ring.summand_table.items()
     decomps = [(A, ea, B, eb) for A, ea in summands for B, eb in summands
@@ -439,49 +427,20 @@ def direct_sum_cancellation(ring, max_size=CANCELLATION_SIZE_BOUND):
 # -- profile and suites --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RingProfile:
-    """All ring-level verdicts for one ring, JSON-ready."""
-
-    ring_spec: str
-    size: int
-    ssp: Verdict
-    sip: Verdict
-    ic: Verdict
-    abelian: Verdict
-    sr1: Verdict
-    idem_sr_condition: Verdict
-    product_regular_condition: Verdict
-    unit_regular: bool = field(default=False)
-
-    def to_json(self):
-        return {
-            "ring": self.ring_spec,
-            "size": self.size,
-            "ssp": self.ssp.to_json(),
-            "sip": self.sip.to_json(),
-            "ic": self.ic.to_json(),
-            "abelian": self.abelian.to_json(),
-            "sr1": self.sr1.to_json(),
-            "idem_sr_condition": self.idem_sr_condition.to_json(),
-            "product_regular_condition": self.product_regular_condition.to_json(),
-            "unit_regular": self.unit_regular,
-        }
-
-
 def ring_profile(ring):
-    return RingProfile(
-        ring_spec=ring.spec,
-        size=ring.size,
-        ssp=is_ssp(ring),
-        sip=is_sip(ring),
-        ic=is_ic(ring),
-        abelian=is_abelian(ring),
-        sr1=has_stable_range_1(ring),
-        idem_sr_condition=idem_sr_condition(ring),
-        product_regular_condition=product_regular_condition(ring, 2),
-        unit_regular=ring_unit_regular(ring),
-    )
+    """All ring-level verdicts for one ring, as its JSON profile."""
+    return {
+        "ring": ring.spec,
+        "size": ring.size,
+        "ssp": is_ssp(ring).to_json(),
+        "sip": is_sip(ring).to_json(),
+        "ic": is_ic(ring).to_json(),
+        "abelian": is_abelian(ring).to_json(),
+        "sr1": has_stable_range_1(ring).to_json(),
+        "idem_sr_condition": idem_sr_condition(ring).to_json(),
+        "product_regular_condition": product_regular_condition(ring, 2).to_json(),
+        "unit_regular": ring_unit_regular(ring),
+    }
 
 
 def _all_regular_special_clean(ring):
@@ -563,7 +522,8 @@ def theorem_suite(ring, which):
     elif which == "R2.5":
         hyp = is_ssp(ring)
         c1 = is_ic(ring)
-        ann, right = sided_condition_variants(ring)
+        ann = idem_condition_annihilator(ring)
+        right = idem_condition_right_sided(ring)
         conditions = {"1": c1.holds, "2": ann.holds, "3": right.holds}
         for name, v in (("1", c1), ("2", ann), ("3", right)):
             if v.witness:

@@ -132,7 +132,7 @@ def run_classify(spec, cache=None):
     ring = parse_ring_spec(spec)
     profile = cache.get(spec, "profile")
     if profile is None:
-        profile = ring_profile(ring).to_json()
+        profile = ring_profile(ring)
         cache.put(spec, "profile", profile)
     return {"profiles": [profile]}
 
@@ -166,12 +166,14 @@ def run_decompose(spec, element_text, b_text=None):
 
 
 def _entry_work(task):
-    """Per-ring worker: compute the profile and the requested suites."""
+    """Per-ring worker: compute the profile and the requested suites, and
+    time them where they run."""
+    start = time.perf_counter()
     spec, suites = task
     ring = parse_ring_spec(spec)
-    profile = ring_profile(ring).to_json()
+    profile = ring_profile(ring)
     suite_reports = {name: theorem_suite(ring, name) for name in suites}
-    return spec, profile, suite_reports
+    return spec, profile, suite_reports, time.perf_counter() - start
 
 
 def run_verify(suite, entries=None, cache=None, jobs=1):
@@ -199,12 +201,9 @@ def run_verify(suite, entries=None, cache=None, jobs=1):
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             computed = list(pool.map(_entry_work, needed))
     else:
-        computed = []
-        for task in needed:
-            start = time.perf_counter()
-            computed.append(_entry_work(task))
-            timing[task[0]] = time.perf_counter() - start
-    for spec, profile, reports in computed:
+        computed = map(_entry_work, needed)
+    for spec, profile, reports, elapsed in computed:
+        timing[spec] = elapsed
         results[spec] = profile, reports
         cache.put(spec, "profile", profile)
         for name, rep in reports.items():

@@ -61,10 +61,9 @@ class RightIdeal:
     generators: tuple
 
     @classmethod
-    def from_members(cls, ring, members, generators=None):
+    def from_members(cls, ring, members):
         mask = bitset(list(members), ring.size)
-        least = minimal_generators(ring, mask)  # also the closure check
-        return cls(ring, mask, least if generators is None else tuple(map(int, generators)))
+        return cls(ring, mask, minimal_generators(ring, mask))  # also the closure check
 
     @classmethod
     def zero_ideal(cls, ring):
@@ -169,12 +168,9 @@ def identity_hom(A):
     return ModuleHom(A, A, {s: s for s in A.sorted_members})
 
 
-def left_multiplication_hom(c, A, target=None):
-    """The map x -> c*x restricted to A (always additive and equivariant)."""
-    ring = A.ring
-    mapping = dict(zip(A.sorted_members, ring.mul_table[c, A.sorted_members].tolist()))
-    if target is None:
-        target = RightIdeal.from_members(ring, mapping.values())
+def left_multiplication_hom(c, A, target):
+    """The map x -> c*x from A into target (always additive and equivariant)."""
+    mapping = dict(zip(A.sorted_members, A.ring.mul_table[c, A.sorted_members].tolist()))
     return ModuleHom(A, target, mapping)
 
 
@@ -250,11 +246,12 @@ def _extend_hom(ring, gens, images, source):
     return dict(zip(keys, T.tolist()))
 
 
-def hom_search(A, B, require_iso=False, max_candidates=HOM_SEARCH_CANDIDATE_LIMIT):
+def hom_search(A, B, require_iso=False):
     """All right-module homomorphisms from A to B (bijective ones when asked).
 
     Generator images are enumerated over the target in ascending order, then
     extended additively and equivariantly; every returned map is validated.
+    More than HOM_SEARCH_CANDIDATE_LIMIT assignments raise SearchBudgetExceeded.
     """
     ring = _same_ring(A, B)
     if require_iso and len(A) != len(B):
@@ -267,9 +264,9 @@ def hom_search(A, B, require_iso=False, max_candidates=HOM_SEARCH_CANDIDATE_LIMI
         hom.validate()
         return [hom]
     count = len(B) ** len(gens)
-    if count > max_candidates:
+    if count > HOM_SEARCH_CANDIDATE_LIMIT:
         raise SearchBudgetExceeded(
-            f"{count} candidate assignments exceed the limit of {max_candidates}")
+            f"{count} candidate assignments exceed the limit of {HOM_SEARCH_CANDIDATE_LIMIT}")
     out = []
     targets = B.sorted_members
     for images in itertools.product(targets, repeat=len(gens)):

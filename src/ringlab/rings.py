@@ -297,7 +297,8 @@ class RingElement:
 # -- constructors ------------------------------------------------------------
 
 
-def _check_cap(size):
+def check_cap(size):
+    """Raise CapacityError when a ring of `size` elements exceeds the cap."""
     if size > DEFAULT_SIZE_CAP:
         raise CapacityError(size, DEFAULT_SIZE_CAP)
 
@@ -328,7 +329,7 @@ def make_zmod(n):
     """The ring of integers mod n with elements 0..n-1; spec "Zn:<n>"."""
     if n < 1:
         raise ValueError(f"modulus must be at least 1 (got {n})")
-    _check_cap(n)
+    check_cap(n)
     r = np.arange(n, dtype=np.int32)
     add = np.add.outer(r, r)
     add %= n
@@ -351,10 +352,14 @@ def _matrix_shape_ring(kind, k, base):
     stored cell most significant."""
     if k < 1:
         raise ValueError("matrix dimension must be at least 1")
-    support = positions(kind, k)
-    radices = [base.size] * len(support)
+    stored = k * k if kind == "matrix" else k * (k + 1) // 2
+    if stored > DEFAULT_SIZE_CAP:  # checked first: base.size ** stored may be vast
+        raise ValueError(f"a {k}x{k} {kind} shape stores {stored} cells, "
+                         f"more than the size cap of {DEFAULT_SIZE_CAP}")
+    radices = [base.size] * stored
     size = math.prod(radices)
-    _check_cap(size)
+    check_cap(size)
+    support = positions(kind, k)
     cells = decode(radices, np.arange(size, dtype=np.int32))
     entry = dict(zip(support, cells))
     badd, bmul = base.add_table, base.mul_table
@@ -394,7 +399,7 @@ def make_product(factors):
         raise ValueError("product needs at least one factor")
     radices = [f.size for f in factors]
     size = math.prod(radices)
-    _check_cap(size)
+    check_cap(size)
     comps = decode(radices, np.arange(size, dtype=np.int32))
     add = encode(radices, (f.add_table[np.ix_(c, c)] for f, c in zip(factors, comps)))
     mul = encode(radices, (f.mul_table[np.ix_(c, c)] for f, c in zip(factors, comps)))
@@ -440,31 +445,30 @@ def element_from_obj(ring, obj):
     """Inverse of element_to_obj; integer entries are reduced mod n."""
     kind = ring.form[0]
     if kind == "zmod":
-        if not isinstance(obj, int):
+        if not isinstance(obj, int) or isinstance(obj, bool):
             raise LiteralParseError(f"expected an integer literal for {ring.spec}, got {obj!r}")
         return obj % ring.form[1]
     if kind in ("matrix", "triangular"):
         k, base = ring.form[1], ring.form[2]
-        rows = list(obj)
-        if len(rows) != k or any(len(list(r)) != k for r in rows):
+        if not (isinstance(obj, (list, tuple)) and len(obj) == k
+                and all(isinstance(row, (list, tuple)) and len(row) == k for row in obj)):
             raise LiteralParseError(f"expected a {k}x{k} matrix literal for {ring.spec}")
         if kind == "triangular":
             for i in range(k):
                 for j in range(i):
-                    if element_from_obj(base, rows[i][j]) != base.zero:
+                    if element_from_obj(base, obj[i][j]) != base.zero:
                         raise LiteralParseError(
                             f"entry ({i},{j}) must be zero in the triangular ring {ring.spec}")
         cells = positions(kind, k)
         return encode([base.size] * len(cells),
-                      (element_from_obj(base, rows[i][j]) for i, j in cells))
+                      (element_from_obj(base, obj[i][j]) for i, j in cells))
     if kind == "product":
         factors = ring.form[1]
-        parts = tuple(obj)
-        if len(parts) != len(factors):
+        if not isinstance(obj, (list, tuple)) or len(obj) != len(factors):
             raise LiteralParseError(
                 f"expected a {len(factors)}-tuple literal for {ring.spec}")
         return encode([f.size for f in factors],
-                      (element_from_obj(f, p) for f, p in zip(factors, parts)))
+                      (element_from_obj(f, p) for f, p in zip(factors, obj)))
     if kind == "opposite":
         return element_from_obj(ring.form[1], obj)
     raise LiteralParseError(f"ring {ring.spec} has no literal form")

@@ -196,8 +196,10 @@ def idem_annihilator_scan(ring):
 
 # -- summand scans over the frozenset principal ideals ------------------------------
 #
-# The loops the bitset kernels of ringlab.classify.is_ssp and is_sip replaced,
-# kept as references: same scan order, same witnesses, same `checked` counts.
+# Per-pair loops over the frozenset principal ideals, kept as references for
+# ringlab.classify.is_ssp and is_sip: same scan order, same witnesses, same
+# `checked` counts. ssp_scan forms each sum eR + fR and looks it up among the
+# summands, so it does not rest on the regularity criterion is_ssp reads.
 
 
 def ssp_scan(ring):

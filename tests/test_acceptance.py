@@ -6,12 +6,12 @@ import contextlib
 import json
 import time
 
-from ringlab import (default_catalog, direct_sum_cancellation, idempotent_witness_set,
-                     is_ic, is_ssp, parse_element, parse_ring_spec,
-                     product_regular_condition, regular_elements, regular_witness,
-                     right_sided_certificate, ring_unit_regular, sided_condition_variants,
-                     solve_unimodular, special_clean_witnesses, theorem_suite,
-                     unimodular_matrix, unit_inverse_from_special_clean,
+from ringlab import (default_catalog, direct_sum_cancellation, idem_condition_annihilator,
+                     idem_condition_right_sided, idempotent_witness_set, is_ic, is_ssp,
+                     parse_element, parse_ring_spec, product_regular_condition,
+                     regular_elements, regular_witness, right_sided_certificate,
+                     ring_unit_regular, solve_unimodular, special_clean_witnesses,
+                     theorem_suite, unimodular_matrix, unit_inverse_from_special_clean,
                      unit_regular_witness, verify_trace)
 from ringlab.classify import special_clean_flags
 from ringlab.cli import main
@@ -159,7 +159,7 @@ def test_criterion_8_sided_variants_and_involution():
         for ring in rings():
             if not (is_ssp(ring).holds and is_ic(ring).holds):
                 continue
-            ann, right = sided_condition_variants(ring)
+            ann, right = idem_condition_annihilator(ring), idem_condition_right_sided(ring)
             assert ann.holds is True, ring.spec
             assert right.holds is True, ring.spec
 

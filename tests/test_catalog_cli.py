@@ -2,14 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import oracles
-from ringlab import (CapacityError, CatalogEntry, ConstructionAbort, SpecParseError,
-                     default_catalog, format_element, load_catalog, parse_element,
-                     parse_ring_spec, ring_profile, solve_unimodular, verify_entry_tags)
+from ringlab import (CapacityError, CatalogEntry, ConstructionAbort, SpecParseError, catalog,
+                     default_catalog, format_element, load_catalog, make_matrix_ring,
+                     make_zmod, parse_element, parse_ring_spec, ring_profile, rings,
+                     solve_unimodular, verify_entry_tags)
 from ringlab.cache import ResultCache, default_cache_path
 from ringlab.cli import _hunt_candidates, main, parse_property_expr, run_hunt, run_verify
 from ringlab.reports import strip_timing
@@ -47,6 +49,38 @@ def test_parse_capacity_error():
         parse_ring_spec("M2:Zn:9")  # 9**4 = 6561 > 4096
 
 
+def test_matrix_shape_size_is_checked_before_its_cells_are_listed(monkeypatch, capsys):
+    def no_positions(*_):
+        raise AssertionError("positions() ran before the size check")
+
+    monkeypatch.setattr(rings, "positions", no_positions)
+    with pytest.raises((CapacityError, ValueError)):
+        make_matrix_ring(10 ** 20, make_zmod(2))
+    assert main(["classify", "--ring", "M99999999999999999999:Zn:2", "--no-cache"]) == 2
+    assert "ringlab: error:" in capsys.readouterr().err
+
+
+def test_product_spec_builds_no_factor_past_the_cap(monkeypatch):
+    built = []
+
+    def sized_stand_in(n):
+        # only the size is read before the cap check, so no table is made
+        built.append(n)
+        return types.SimpleNamespace(size=n, spec=f"Zn:{n}")
+
+    monkeypatch.setattr(catalog, "make_zmod", sized_stand_in)
+    with pytest.raises(CapacityError):
+        parse_ring_spec("prod:Zn:4096+Zn:4096+Zn:4096")
+    assert built == [4096, 4096]
+
+
+@pytest.mark.parametrize("ring, element", [("M2:Zn:2", "[1,2]"), ("prod:Zn:2+Zn:3", "5"),
+                                           ("Zn:6", "True")])
+def test_malformed_literals_are_usage_errors(ring, element, capsys):
+    assert main(["decompose", "--ring", ring, "--element", element, "--no-cache"]) == 2
+    assert "ringlab: error:" in capsys.readouterr().err
+
+
 def test_element_literals_match_spec_grammar():
     t2 = parse_ring_spec("T2:Zn:3")
     e = parse_element(t2, "[[1,1],[0,0]]")
@@ -74,13 +108,13 @@ def test_default_catalog_tags():
 
 def test_all_default_tags_verify(catalog_rings):
     for entry in default_catalog():
-        profile = ring_profile(catalog_rings[entry.spec]).to_json()
+        profile = ring_profile(catalog_rings[entry.spec])
         assert verify_entry_tags(entry, profile) == []
 
 
 def test_tag_mismatch_detected(t2z3):
     bogus = CatalogEntry(spec="T2:Zn:3", tags=("ssp",), provenance={"ssp": "computed"})
-    mismatches = verify_entry_tags(bogus, ring_profile(t2z3).to_json())
+    mismatches = verify_entry_tags(bogus, ring_profile(t2z3))
     assert mismatches == [{"tag": "ssp", "expected": True, "actual": False}]
 
 
@@ -422,6 +456,14 @@ def test_only_verify_takes_jobs(argv, capsys):
         main([*argv, "--jobs", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def test_parallel_verify_times_every_ring(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "T2.4", "--format", "json",
+                        "--no-cache", "--jobs", "2")
+    assert code == 0
+    assert sorted(json.loads(out)["timing"]["per_ring_s"]) == \
+        sorted(e.spec for e in default_catalog())
 
 
 def test_cli_jobs_matches_serial(capsys):

@@ -12,6 +12,7 @@ from ringlab import (InvariantViolation, ModuleHom, RightIdeal, RingMismatchErro
                      parse_element, parse_ring_spec, principal,
                      reconstruct_common_complement, right_annihilator,
                      summand_idempotent, summands_isomorphic)
+from ringlab import ideals
 from ringlab.ideals import identity_hom, subgroup_sum
 from ringlab.rings import bits
 
@@ -225,11 +226,12 @@ def test_hom_search_results_are_valid(m2z2):
         h.validate()
 
 
-def test_hom_search_budget(m2z2):
+def test_hom_search_budget(m2z2, monkeypatch):
     A = RightIdeal.full_ideal(m2z2)
     big = ideal_sum(A, A)  # two generators over a 16-element target
+    monkeypatch.setattr(ideals, "HOM_SEARCH_CANDIDATE_LIMIT", 10)
     with pytest.raises(SearchBudgetExceeded):
-        hom_search(big, A, max_candidates=10)
+        hom_search(big, A)
 
 
 def test_hom_search_zero_source(z6):
@@ -297,7 +299,7 @@ def test_hom_search_matches_the_closure_on_concatenated_generators(m2z2, t2z3):
 
 
 def test_hom_search_finds_nothing_from_generators_that_do_not_span(z6):
-    A = RightIdeal.from_members(z6, range(6), generators=(2,))   # 2 spans {0, 2, 4}
+    A = RightIdeal(z6, (1 << 6) - 1, (2,))   # all of Z6, but 2 spans {0, 2, 4}
     assert closure_search(A, A) == []
     assert hom_search(A, A) == []
 
