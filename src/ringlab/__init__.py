@@ -28,8 +28,8 @@ from .errors import (CapacityError, ConstructionAbort, HypothesisViolation,
                      RinglabError, SearchBudgetExceeded, SpecParseError)
 from .ideals import (ModuleHom, RightIdeal, all_right_ideals,
                      common_complement_idempotent, direct_complements, graph_module,
-                     hom_search, ideal_intersect, ideal_sum, is_direct_pair, principal,
-                     reconstruct_common_complement, right_annihilator,
+                     hom_search, ideal_intersect, ideal_sum, is_direct_pair, iter_homs,
+                     principal, reconstruct_common_complement, right_annihilator,
                      summand_idempotent, summands_isomorphic)
 from .rings import (DEFAULT_SIZE_CAP, FiniteRing, RingElement, element_from_obj,
                     element_repr, element_to_obj, make_matrix_ring, make_opposite,

@@ -275,6 +275,17 @@ def run_hunt(expr_text, max_size):
 # -- argument parsing and dispatch -----------------------------------------------
 
 
+def _positive_int(text):
+    """argparse type of the counts that must be at least 1 (--jobs, --max-size)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json", "csv"), default="table")
@@ -302,13 +313,14 @@ def _build_parser():
                        help="run equivalence suites over the ring catalog")
     p.add_argument("--suite", default="all", help=f"one of {('all',) + SUITE_NAMES}")
     p.add_argument("--catalog", default=None, help="path of a JSON catalog file")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for per-ring scans")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="parallel workers for per-ring scans")
 
     p = sub.add_parser("hunt", parents=[common],
                        help="search rings matching a property expression")
     p.add_argument("--property", required=True, dest="property_expr",
                    help="expression over ssp, sip, ic, sr1, abelian with !, &, |")
-    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--max-size", type=_positive_int, required=True)
     return parser
 
 

@@ -150,7 +150,7 @@ def solve_unimodular(ring, a, b):
              7, "fR does not split over its overlap with gR")
     _require(len(S) * len(gL) == len(C) and S.mask & gL.mask == zero,
              7, "gR does not split over its overlap with fR")
-    isos = hom_search(fL, gL, require_iso=True)
+    isos = hom_search(fL, gL, require_iso=True, limit=1)
     _require(bool(isos), 7, "no isomorphism between the complementary halves")
     phi = isos[0]
 
@@ -240,7 +240,12 @@ def unique_special_clean_abelian(ring, a):
 
 def verify_trace(trace):
     """Re-check every invariant of a trace from scratch with the ideal-lattice
-    primitives; returns a per-check report plus an overall flag."""
+    primitives; returns a per-check report plus an overall flag.
+
+    The lattice values it recomputes (members, generators, sums and
+    annihilators) come from the ring's memo, which holds pure functions of the
+    ring's read-only tables, so a memo warmed by solve_unimodular returns what
+    a fresh ring would. Every comparison against the trace is still made."""
     ring = trace.ring
     a, b, x = trace.a, trace.b, trace.x
     zero = 1 << ring.zero

@@ -3,6 +3,12 @@
 An ideal is stored as an int bitset over element indices (the ring's own
 membership representation, as in FiniteRing.right_masks) together with a
 generator list, so equality, meets and direct-sum checks are int operations.
+The mask-level lattice operations (an ideal's members, its least-index
+generators, the mask of a sum of two ideals, the right annihilator of an
+element) are pure functions of the ring's read-only tables and of int masks,
+so they are memoised in the ring's own memo (rings.per_ring). Only masks of
+right ideals enter it, so a ring with R right ideals and n elements holds at
+most 2R + R^2 + n lattice entries.
 Module homomorphisms between ideals are stored as explicit graphs (dicts).
 A generator assignment is extended by building the submodule it generates
 in source x target with table lookups, one generator at a time, and a map
@@ -19,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvariantViolation, RingMismatchError, SearchBudgetExceeded
-from .rings import FiniteRing, bits, bitset
+from .rings import FiniteRing, bits, bitset, per_ring
 
 HOM_SEARCH_CANDIDATE_LIMIT = 10 ** 7
 
@@ -35,12 +41,22 @@ def subgroup_sum(ring, p, q):
     of additive subgroups P and Q. Every caller adds a principal ideal to a
     subgroup, and the sum of two subgroups is already closed under +, so one
     gather of the addition table is the whole additive closure of P and Q."""
-    return bitset(ring.add_table[np.ix_(p, q)], ring.size)
+    return bitset(ring.add_table[np.asarray(p)[:, None], q], ring.size)
 
 
+@per_ring
+def ideal_members(ring, mask):
+    """The members of a right ideal's bitset, ascending. Memoised per mask, so
+    only masks of right ideals may be passed."""
+    return bits(mask)
+
+
+@per_ring
 def minimal_generators(ring, mask):
     """Least-index greedy spanning subset of an ideal's member bitset; the
-    span differs from the bitset exactly when it is not a right ideal."""
+    span differs from the bitset exactly when it is not a right ideal, which
+    raises and so leaves no memo entry. The mask is read with plain bits, so
+    a mask that is not an ideal never enters the members memo either."""
     gens = []
     span = 1 << ring.zero
     for m in bits(mask):
@@ -73,9 +89,9 @@ class RightIdeal:
     def full_ideal(cls, ring):
         return cls(ring, (1 << ring.size) - 1, (ring.one,))
 
-    @cached_property
+    @property
     def sorted_members(self):
-        return bits(self.mask)
+        return ideal_members(self.ring, self.mask)
 
     @cached_property
     def members(self):
@@ -130,16 +146,16 @@ class ModuleHom:
         """Raise InvariantViolation unless total, inside the target, additive
         and right-equivariant, naming the first failing (s, s2) or (s, r)."""
         ring = _same_ring(self.source, self.target)
-        if set(self.mapping) != self.source.members:
+        if self.mapping.keys() != self.source.members:
             raise InvariantViolation("map is not total on its source")
-        if not set(self.mapping.values()) <= self.target.members:
+        if not self.target.members.issuperset(self.mapping.values()):
             raise InvariantViolation("map image escapes its target")
         add, mul = ring.add_table, ring.mul_table
         src = np.array(self.source.sorted_members)
         img = np.array([self.mapping[s] for s in self.source.sorted_members])
         graph = np.full(ring.size, -1, dtype=np.int32)
         graph[src] = img
-        additive = graph[add[np.ix_(src, src)]] == add[np.ix_(img, img)]
+        additive = graph[add[src[:, None], src]] == add[img[:, None], img]
         equivariant = graph[mul[src]] == mul[img]
         row_ok = additive.all(axis=1) & equivariant.all(axis=1)
         if not row_ok.all():
@@ -182,16 +198,21 @@ def principal(ring, a):
     return RightIdeal(ring, ring.right_masks[a], (int(a),))
 
 
+@per_ring
 def right_annihilator(ring, a):
     """{r : a*r = 0}; always a right ideal."""
     return RightIdeal.from_members(ring, np.flatnonzero(ring.mul_table[a] == ring.zero))
 
 
+@per_ring
+def _sum_mask(ring, p, q):
+    return subgroup_sum(ring, ideal_members(ring, p), ideal_members(ring, q))
+
+
 def ideal_sum(A, B):
     """{x + y : x in A, y in B}; generators are concatenated."""
     ring = _same_ring(A, B)
-    mask = subgroup_sum(ring, A.sorted_members, B.sorted_members)
-    return RightIdeal(ring, mask, A.generators + B.generators)
+    return RightIdeal(ring, _sum_mask(ring, A.mask, B.mask), A.generators + B.generators)
 
 
 def ideal_intersect(A, B):
@@ -232,8 +253,8 @@ def _extend_hom(ring, gens, images, source):
     add, mul = ring.add_table, ring.mul_table
     S = T = np.array([ring.zero])
     for g, y in zip(gens, images):
-        S = add[np.ix_(S, mul[g])].ravel()
-        T = add[np.ix_(T, mul[y])].ravel()
+        S = add[S[:, None], mul[g]].ravel()
+        T = add[T[:, None], mul[y]].ravel()
         graph = np.full(ring.size, -1, dtype=np.int32)
         graph[S] = T
         if not np.array_equal(graph[S], T):
@@ -246,28 +267,31 @@ def _extend_hom(ring, gens, images, source):
     return dict(zip(keys, T.tolist()))
 
 
-def hom_search(A, B, require_iso=False):
-    """All right-module homomorphisms from A to B (bijective ones when asked).
+def iter_homs(A, B, require_iso=False):
+    """Yield the right-module homomorphisms from A to B (bijective ones when
+    asked), each validated before it is yielded.
 
     Generator images are enumerated over the target in ascending order, then
-    extended additively and equivariantly; every returned map is validated.
-    More than HOM_SEARCH_CANDIDATE_LIMIT assignments raise SearchBudgetExceeded.
+    extended additively and equivariantly, so the first map yielded is the
+    least one and a caller that needs one map stops the search there. More
+    than HOM_SEARCH_CANDIDATE_LIMIT assignments raise SearchBudgetExceeded
+    from the first next(), before any candidate is tried.
     """
     ring = _same_ring(A, B)
     if require_iso and len(A) != len(B):
-        return []
+        return
     gens = A.generators
     if not gens:
         if require_iso and not B.is_zero():
-            return []
+            return
         hom = ModuleHom(A, B, {ring.zero: ring.zero})
         hom.validate()
-        return [hom]
+        yield hom
+        return
     count = len(B) ** len(gens)
     if count > HOM_SEARCH_CANDIDATE_LIMIT:
         raise SearchBudgetExceeded(
             f"{count} candidate assignments exceed the limit of {HOM_SEARCH_CANDIDATE_LIMIT}")
-    out = []
     targets = B.sorted_members
     for images in itertools.product(targets, repeat=len(gens)):
         mapping = _extend_hom(ring, gens, images, A)
@@ -277,8 +301,13 @@ def hom_search(A, B, require_iso=False):
         if require_iso and not hom.is_bijective():
             continue
         hom.validate()
-        out.append(hom)
-    return out
+        yield hom
+
+
+def hom_search(A, B, require_iso=False, limit=None):
+    """The first `limit` maps iter_homs(A, B, require_iso) yields (all of them
+    when limit is None), as a list in enumeration order."""
+    return list(itertools.islice(iter_homs(A, B, require_iso), limit))
 
 
 def summands_isomorphic(ring, e, f):

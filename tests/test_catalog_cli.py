@@ -458,6 +458,26 @@ def test_only_verify_takes_jobs(argv, capsys):
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "--suite", "C2.6", "--jobs", "0"), "--jobs"),
+    (("verify", "--suite", "C2.6", "--jobs", "-4"), "--jobs"),
+    (("hunt", "--property", "ssp", "--max-size", "-5"), "--max-size"),
+    (("hunt", "--property", "ssp", "--max-size", "0"), "--max-size"),
+])
+def test_counts_below_one_are_usage_errors(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--no-cache"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+
+
+def test_a_max_size_of_one_is_accepted(capsys):
+    code, out = run_cli(capsys, "hunt", "--property", "ssp", "--max-size", "1",
+                        "--format", "json", "--no-cache")
+    assert code == 0
+    assert json.loads(out)["max_size"] == 1
+
+
 def test_parallel_verify_times_every_ring(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "T2.4", "--format", "json",
                         "--no-cache", "--jobs", "2")

@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from ringlab import (SUITE_NAMES, HypothesisViolation, all_right_ideals,
-                     classify_element, element_from_obj, idempotent_witness_set,
-                     is_ic, is_ssp, make_matrix_ring, make_triangular_ring, make_zmod,
-                     parse_ring_spec, regular_elements, ring_profile, solve_unimodular,
+from ringlab import (SUITE_NAMES, HypothesisViolation, InvariantViolation, ModuleHom,
+                     RightIdeal, all_right_ideals, classify_element, element_from_obj,
+                     idempotent_witness_set, is_ic, is_ssp, make_matrix_ring,
+                     make_triangular_ring, make_zmod, parse_ring_spec, regular_elements,
+                     ring_profile, solve_unimodular,
                      special_clean_decompose, special_clean_witnesses, theorem_suite,
                      unimodular_matrix, unique_special_clean_abelian,
                      unit_inverse_from_special_clean, verify_trace)
@@ -224,3 +225,63 @@ def test_no_command_path_builds_the_frozenset_ideals():
         assert "right_principal_sets" not in vars(ring)
         assert "left_principal_sets" not in vars(ring)
         assert "units" not in vars(ring)
+
+
+# -- the ring's lattice memo ------------------------------------------------------
+
+
+def regular_unimodular_pairs(ring):
+    U = unimodular_matrix(ring)
+    regs = regular_elements(ring)
+    return [(a, b) for a in regs for b in regs if U[a, b]]
+
+
+def lattice_entries(ring):
+    """Memo entries of the ideals module's per-ring lattice functions."""
+    return sum(1 for fn, *_ in ring._memo if fn.__module__ == "ringlab.ideals")
+
+
+@pytest.mark.parametrize("spec", ["M2:Zn:2", "M2:Zn:3", "Zn:12"])
+def test_a_warm_memo_gives_the_traces_of_a_fresh_ring(spec):
+    ring = parse_ring_spec(spec)
+    for a, b in regular_unimodular_pairs(ring):
+        warm = solve_unimodular(ring, a, b)
+        fresh_ring = dataclasses.replace(ring)  # same tables, empty memo
+        assert fresh_ring is not ring and not fresh_ring._memo
+        fresh = solve_unimodular(fresh_ring, a, b)
+        assert warm.to_json() == fresh.to_json(), (spec, a, b)
+        assert verify_trace(warm) == verify_trace(fresh), (spec, a, b)
+
+
+def test_the_lattice_memo_stays_bounded(m2z3):
+    ring = dataclasses.replace(m2z3)
+    R = len(all_right_ideals(m2z3))
+    bound = 2 * R + R ** 2 + ring.size  # members and generators, sums, annihilators
+    for a, b in regular_unimodular_pairs(ring):
+        assert verify_trace(solve_unimodular(ring, a, b))["all_passed"]
+        assert lattice_entries(ring) <= bound, (a, b)
+    keys = set(ring._memo)
+    for _ in range(2):  # a failed closure check memoises nothing, so it fails again
+        with pytest.raises(InvariantViolation):
+            RightIdeal.from_members(ring, [ring.zero, ring.one])
+    assert set(ring._memo) == keys
+
+
+def test_verify_trace_catches_tampering_with_a_warm_memo(m2z3):
+    a = element_from_obj(m2z3, [[0, 1], [0, 0]])
+    t = solve_unimodular(m2z3, a, m2z3.minus_one())
+    assert verify_trace(t)["all_passed"]  # warms the memo on every lattice value
+    assert t.K != t.C and t.L.is_full()
+    zero_map = ModuleHom(t.phi.source, t.phi.target,
+                         {s: m2z3.zero for s in t.phi.source.sorted_members})
+    swaps = {"K": (t.C, "kernel_ideal"),
+             "C": (t.K, "cokernel_ideal"),
+             "bK": (t.C, "bK_ideal"),
+             "L": (RightIdeal.zero_ideal(m2z3), "L_complements_overlap"),
+             "E": (t.K, "graph_ideal"),
+             "F": (RightIdeal.full_ideal(m2z3), "F_complements_sum"),
+             "phi": (zero_map, "phi_isomorphism_between_halves")}
+    for field, (wrong, check) in swaps.items():
+        rep = verify_trace(dataclasses.replace(t, **{field: wrong}))
+        assert rep["checks"][check] is False, field
+        assert not rep["all_passed"], field

@@ -8,7 +8,7 @@ from ringlab import (InvariantViolation, ModuleHom, RightIdeal, RingMismatchErro
                      SearchBudgetExceeded, all_right_ideals,
                      common_complement_idempotent, direct_complements, element_to_obj,
                      graph_module, hom_search, ideal_intersect, ideal_sum,
-                     is_direct_pair, is_ssp, make_triangular_ring, make_zmod,
+                     is_direct_pair, is_ssp, iter_homs, make_triangular_ring, make_zmod,
                      parse_element, parse_ring_spec, principal,
                      reconstruct_common_complement, right_annihilator,
                      summand_idempotent, summands_isomorphic)
@@ -232,6 +232,24 @@ def test_hom_search_budget(m2z2, monkeypatch):
     monkeypatch.setattr(ideals, "HOM_SEARCH_CANDIDATE_LIMIT", 10)
     with pytest.raises(SearchBudgetExceeded):
         hom_search(big, A)
+    search = iter_homs(big, A)
+    with pytest.raises(SearchBudgetExceeded):
+        next(search)
+
+
+@pytest.mark.parametrize("spec", ["M2:Zn:2", "M2:Zn:3", "Zn:12"])
+def test_the_first_map_iter_homs_yields_is_the_least_one(spec):
+    lattice = all_right_ideals(parse_ring_spec(spec))
+    for A in lattice:
+        for B in lattice:
+            isos = hom_search(A, B, require_iso=True)
+            first = next(iter_homs(A, B, True), None)
+            if not isos:
+                assert first is None, (A, B)
+                continue
+            assert (first.source, first.target, first.mapping) == \
+                (isos[0].source, isos[0].target, isos[0].mapping), (A, B)
+            assert [h.mapping for h in hom_search(A, B, True, limit=1)] == [first.mapping]
 
 
 def test_hom_search_zero_source(z6):
