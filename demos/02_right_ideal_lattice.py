@@ -1,9 +1,11 @@
 """Right ideals as right modules: generation, summands, complements,
 homomorphism search, and shared complements.
 
-Ideals are stored extensionally (member sets plus a generator list), so
-direct-sum certificates are plain set checks: A (+) B = R means the members
-meet only in 0 and the sizes multiply to |R|.
+An ideal is stored as an int bitset over element indices plus a generator
+list, so direct-sum certificates are int operations: A (+) B = R means the
+bitsets meet only in the bit of 0 and the sizes multiply to |R|. A module
+map between ideals stores the image of each source member, in ascending
+member order.
 """
 
 from ringlab import (all_right_ideals, common_complement_idempotent,
@@ -16,23 +18,24 @@ z6 = make_zmod(6)
 
 print("== principal ideals and annihilators in Z_6 ==")
 for a in range(6):
-    print(f"  {a}R = {sorted(principal(z6, a).members)}   "
-          f"r({a}) = {sorted(right_annihilator(z6, a).members)}")
+    print(f"  {a}R = {list(principal(z6, a).sorted_members)}   "
+          f"r({a}) = {list(right_annihilator(z6, a).sorted_members)}")
 
 print("\n== the whole lattice of right ideals ==")
 for ideal in all_right_ideals(z6):
-    print("  members:", sorted(ideal.members), " generators:", ideal.generators)
+    print("  members:", list(ideal.sorted_members), " generators:", ideal.generators)
 
 A = principal(z6, 2)
 B = principal(z6, 3)
-print("\nsum of 2R and 3R:", sorted(ideal_sum(A, B).members))
-print("intersection:", sorted(ideal_intersect(A, B).members))
+print("\nsum of 2R and 3R:", list(ideal_sum(A, B).sorted_members))
+print("intersection:", list(ideal_intersect(A, B).sorted_members))
 print("3R is a direct summand with complement(s):",
-      [sorted(c.members) for c in direct_complements(B)])
+      [list(c.sorted_members) for c in direct_complements(B)])
 
 print("\n== homomorphism search ==")
 homs = hom_search(B, B)
-print(f"{len(homs)} module endomorphisms of 3R:", [h.mapping for h in homs])
+print(f"{len(homs)} module endomorphisms of 3R, as images of {B.sorted_members}:",
+      [h.images for h in homs])
 isos = hom_search(B, A, require_iso=True)
 print("isomorphisms 3R -> 2R:", isos, "(sizes differ, so none)")
 
@@ -41,14 +44,15 @@ m2 = parse_ring_spec("M2:Zn:2")
 # two different 4-element summands: the first-row and second-row ideals
 first_row = principal(m2, 8)    # generated by [[1,0],[0,0]]
 second_row = principal(m2, 2)   # generated by [[0,0],[1,0]]
-print("A =", sorted(first_row.members))
-print("B =", sorted(second_row.members))
+print("A =", list(first_row.sorted_members))
+print("B =", list(second_row.sorted_members))
 found = common_complement_idempotent(first_row, second_row)
 if found:
     e, restriction = found
-    print("projection idempotent:", e, "maps B onto A via", restriction.mapping)
+    print("projection idempotent:", e, "maps B onto A, member by member, to",
+          restriction.images)
     W = reconstruct_common_complement(e, first_row, second_row)
-    print("(1-e)R =", sorted(W.members), "complements both:",
+    print("(1-e)R =", list(W.sorted_members), "complements both:",
           is_direct_pair(first_row, W) and is_direct_pair(second_row, W))
 else:
     print("no shared complement")
@@ -56,4 +60,4 @@ else:
 print("\n== graph of a module map ==")
 ident = identity_hom(B)
 print("graph of the identity on 3R (elements x + x):",
-      sorted(graph_module(ident).members))
+      list(graph_module(ident).sorted_members))

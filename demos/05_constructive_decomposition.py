@@ -20,9 +20,11 @@ z6 = parse_ring_spec("Zn:6")
 print("== Z_6 with a = 3, b = -1 = 5 ==")
 trace = solve_unimodular(z6, 3, 5)
 print("reflexive inner inverse x:", trace.x)
-print("kernel r(a) =", sorted(trace.K.members), " coimage =", sorted(trace.D.members))
-print("image aR =", sorted(trace.I.members), " cokernel =", sorted(trace.C.members))
-print("kernel pushed through b:", sorted(trace.bK.members),
+print("kernel r(a) =", list(trace.K.sorted_members),
+      " coimage =", list(trace.D.sorted_members))
+print("image aR =", list(trace.I.sorted_members),
+      " cokernel =", list(trace.C.sorted_members))
+print("kernel pushed through b:", list(trace.bK.sorted_members),
       " summand idempotent f =", trace.f)
 print("projection idempotent e =", trace.e, " unit a + e*b =", trace.unit)
 print("so 3 =", trace.e, "+", z6.sub(3, trace.e), "is special clean")
@@ -39,8 +41,8 @@ m2 = parse_ring_spec("M2:Zn:2")
 a = 4  # [[0,1],[0,0]]
 trace = solve_unimodular(m2, a, m2.one)
 print("a =", format_element(m2, a), " b = identity")
-print("kernel:", [format_element(m2, k) for k in sorted(trace.K.members)])
-print("cokernel:", [format_element(m2, c) for c in sorted(trace.C.members)])
+print("kernel:", [format_element(m2, k) for k in trace.K.sorted_members])
+print("cokernel:", [format_element(m2, c) for c in trace.C.sorted_members])
 print("kernel equals cokernel as sets?", trace.kernel_equals_cokernel)
 print("e =", format_element(m2, trace.e), " unit =", format_element(m2, trace.unit))
 print("replay:", "PASS" if verify_trace(trace)["all_passed"] else "FAIL")

@@ -31,6 +31,6 @@ from .ideals import (ModuleHom, RightIdeal, all_right_ideals,
                      hom_search, ideal_intersect, ideal_sum, is_direct_pair, iter_homs,
                      principal, reconstruct_common_complement, right_annihilator,
                      summand_idempotent, summands_isomorphic)
-from .rings import (DEFAULT_SIZE_CAP, FiniteRing, RingElement, element_from_obj,
+from .rings import (DEFAULT_SIZE_CAP, FiniteRing, element_from_obj,
                     element_repr, element_to_obj, make_matrix_ring, make_opposite,
                     make_product, make_triangular_ring, make_zmod)

@@ -9,7 +9,8 @@ element) are pure functions of the ring's read-only tables and of int masks,
 so they are memoised in the ring's own memo (rings.per_ring). Only masks of
 right ideals enter it, so a ring with R right ideals and n elements holds at
 most 2R + R^2 + n lattice entries.
-Module homomorphisms between ideals are stored as explicit graphs (dicts).
+A module homomorphism between ideals is stored as the tuple of the images of
+its source's members in ascending order, so a map's image set is one bitset.
 A generator assignment is extended by building the submodule it generates
 in source x target with table lookups, one generator at a time, and a map
 is validated for additivity and right-equivariance by comparing whole rows
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -93,8 +93,10 @@ class RightIdeal:
     def sorted_members(self):
         return ideal_members(self.ring, self.mask)
 
-    @cached_property
+    @property
     def members(self):
+        """The members as a frozenset, built on each read; the package itself
+        reads the mask or sorted_members."""
         return frozenset(self.sorted_members)
 
     def __len__(self):
@@ -133,26 +135,24 @@ class RightIdeal:
 
 @dataclass(frozen=True, eq=False)
 class ModuleHom:
-    """An additive, right-equivariant map between right ideals, as a graph."""
+    """An additive, right-equivariant map between right ideals: images[i] is
+    the image of source.sorted_members[i]."""
 
     source: RightIdeal
     target: RightIdeal
-    mapping: dict
-
-    def __call__(self, s):
-        return self.mapping[s]
+    images: tuple
 
     def validate(self):
         """Raise InvariantViolation unless total, inside the target, additive
         and right-equivariant, naming the first failing (s, s2) or (s, r)."""
         ring = _same_ring(self.source, self.target)
-        if self.mapping.keys() != self.source.members:
+        if len(self.images) != len(self.source):
             raise InvariantViolation("map is not total on its source")
-        if not self.target.members.issuperset(self.mapping.values()):
+        img = np.array(self.images)
+        if img.min() < 0 or img.max() >= ring.size or bitset(img, ring.size) & ~self.target.mask:
             raise InvariantViolation("map image escapes its target")
         add, mul = ring.add_table, ring.mul_table
         src = np.array(self.source.sorted_members)
-        img = np.array([self.mapping[s] for s in self.source.sorted_members])
         graph = np.full(ring.size, -1, dtype=np.int32)
         graph[src] = img
         additive = graph[add[src[:, None], src]] == add[img[:, None], img]
@@ -169,25 +169,24 @@ class ModuleHom:
         return True
 
     def is_bijective(self):
-        return (len(self.source) == len(self.target)
-                and set(self.mapping.values()) == self.target.members)
+        return (len(self.images) == len(self.source) == len(self.target)
+                and bitset(self.images, self.target.ring.size) == self.target.mask)
 
     def to_json(self):
         return {
             "source": self.source.to_json(),
             "target": self.target.to_json(),
-            "pairs": [[int(s), int(self.mapping[s])] for s in self.source.sorted_members],
+            "pairs": [[int(s), int(t)] for s, t in zip(self.source.sorted_members, self.images)],
         }
 
 
 def identity_hom(A):
-    return ModuleHom(A, A, {s: s for s in A.sorted_members})
+    return ModuleHom(A, A, A.sorted_members)
 
 
 def left_multiplication_hom(c, A, target):
     """The map x -> c*x from A into target (always additive and equivariant)."""
-    mapping = dict(zip(A.sorted_members, A.ring.mul_table[c, A.sorted_members].tolist()))
-    return ModuleHom(A, target, mapping)
+    return ModuleHom(A, target, tuple(A.ring.mul_table[c, A.sorted_members].tolist()))
 
 
 # -- the lattice operations ---------------------------------------------------
@@ -246,9 +245,10 @@ def direct_complements(A):
 
 
 def _extend_hom(ring, gens, images, source):
-    """The graph dict of sum g_i r_i -> sum y_i r_i, built one generator at a
-    time; None when some element gets two images (the assignment does not
-    extend) or the generators do not span the source.
+    """The images of sum g_i r_i -> sum y_i r_i over the source's ascending
+    members, built one generator at a time; None when some element gets two
+    images (the assignment does not extend) or the generators do not span
+    the source.
     """
     add, mul = ring.add_table, ring.mul_table
     S = T = np.array([ring.zero])
@@ -261,10 +261,9 @@ def _extend_hom(ring, gens, images, source):
             return None
         S = np.flatnonzero(graph >= 0)
         T = graph[S]
-    keys = S.tolist()
-    if tuple(keys) != source.sorted_members:
+    if tuple(S.tolist()) != source.sorted_members:
         return None
-    return dict(zip(keys, T.tolist()))
+    return tuple(T.tolist())
 
 
 def iter_homs(A, B, require_iso=False):
@@ -284,7 +283,7 @@ def iter_homs(A, B, require_iso=False):
     if not gens:
         if require_iso and not B.is_zero():
             return
-        hom = ModuleHom(A, B, {ring.zero: ring.zero})
+        hom = ModuleHom(A, B, (ring.zero,))
         hom.validate()
         yield hom
         return
@@ -294,10 +293,10 @@ def iter_homs(A, B, require_iso=False):
             f"{count} candidate assignments exceed the limit of {HOM_SEARCH_CANDIDATE_LIMIT}")
     targets = B.sorted_members
     for images in itertools.product(targets, repeat=len(gens)):
-        mapping = _extend_hom(ring, gens, images, A)
-        if mapping is None:
+        extended = _extend_hom(ring, gens, images, A)
+        if extended is None:
             continue
-        hom = ModuleHom(A, B, mapping)
+        hom = ModuleHom(A, B, extended)
         if require_iso and not hom.is_bijective():
             continue
         hom.validate()
@@ -337,8 +336,7 @@ def common_complement_idempotent(A, B):
         if ring.right_masks[e] != A.mask:
             continue
         hom = left_multiplication_hom(e, B, target=A)
-        values = set(hom.mapping.values())
-        if values == A.members and len(values) == len(B):
+        if hom.is_bijective():
             return int(e), hom
     return None
 
@@ -362,12 +360,10 @@ def graph_module(phi):
     construction is only used as a complement when source meets target in 0.)
     """
     ring = _same_ring(phi.source, phi.target)
+    if len(phi.images) != len(phi.source):
+        raise InvariantViolation("map is not total on its source")
     try:
-        members = [ring.add(x, phi.mapping[x]) for x in phi.source.sorted_members]
-    except KeyError as exc:
-        raise InvariantViolation("map is not total on its source") from exc
-    try:
-        return RightIdeal.from_members(ring, members)
+        return RightIdeal.from_members(ring, ring.add_table[phi.source.sorted_members, phi.images])
     except InvariantViolation as exc:
         raise InvariantViolation(
             "graph is not closed as a right ideal; the map is not equivariant") from exc

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityError, LiteralParseError, RingMismatchError
+from .errors import CapacityError, LiteralParseError
 
 DEFAULT_SIZE_CAP = 4096
 
@@ -73,9 +73,6 @@ class FiniteRing:
         """Additive inverse of the identity (equals 1 in characteristic 2)."""
         return self.neg(self.one)
 
-    def element(self, index):
-        return RingElement(self, int(index))
-
     def elements(self):
         return range(self.size)
 
@@ -105,8 +102,8 @@ class FiniteRing:
 
     @cached_property
     def units(self):
-        """frozenset of the unit indices. A reference for the tests and the
-        benchmark; no command path reads it."""
+        """frozenset of the unit indices. A reference for the tests' oracles
+        and the benchmark's set-up; nothing in the package reads it."""
         return frozenset(np.flatnonzero(self.unit_flags).tolist())
 
     @cached_property
@@ -126,8 +123,7 @@ class FiniteRing:
     @cached_property
     def right_principal_sets(self):
         """right_principal_sets[a] = frozenset(aR). A reference for the tests'
-        oracles, decompose.idempotent_witness_set and the benchmark's set-up;
-        no command path reads it."""
+        oracles and the benchmark's set-up; nothing in the package reads it."""
         return tuple(frozenset(int(v) for v in np.unique(self.mul_table[a]))
                      for a in range(self.size))
 
@@ -210,7 +206,9 @@ def row_bitsets(flags):
 
 def bitset(values, size):
     """The int bitset of a sequence or array of element indices below size."""
-    return row_bitsets(membership(np.asarray(values, dtype=np.intp).reshape(1, -1), size))[0]
+    flags = np.zeros(size, dtype=bool)
+    flags[np.asarray(values, dtype=np.intp)] = True
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def bits(mask):
@@ -249,49 +247,6 @@ def summand_partners(ring, side):
                             if mask.bit_count() * masks[e].bit_count() == ring.size)
         by_ideal[mask] = disjoint, complements
     return tuple(by_ideal[mask] for mask in masks)
-
-
-@dataclass(frozen=True)
-class RingElement:
-    """An index into a ring's canonical element ordering, bound to that ring."""
-
-    ring: FiniteRing
-    index: int
-
-    def _check(self, other):
-        if not isinstance(other, RingElement):
-            raise TypeError("expected a RingElement")
-        if other.ring is not self.ring and other.ring.spec != self.ring.spec:
-            raise RingMismatchError(
-                f"elements of {self.ring.spec} and {other.ring.spec} are not comparable")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return RingElement(self.ring, self.ring.add(self.index, other.index))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return RingElement(self.ring, self.ring.mul(self.index, other.index))
-
-    def __neg__(self):
-        return RingElement(self.ring, self.ring.neg(self.index))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return RingElement(self.ring, self.ring.sub(self.index, other.index))
-
-    def __eq__(self, other):
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        self._check(other)
-        return self.index == other.index
-
-    def __hash__(self):
-        return hash((self.ring.spec, self.index))
-
-    def __repr__(self):
-        return f"<{element_repr(self.ring, self.index)} in {self.ring.spec}>"
 
 
 # -- constructors ------------------------------------------------------------

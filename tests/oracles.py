@@ -280,13 +280,13 @@ def module_hom_validate_loop(hom):
     """Totality, target, then per source element s (ascending): additivity
     against every s2, then right-equivariance against every r."""
     ring = hom.source.ring
-    mapping = hom.mapping
-    if set(mapping) != hom.source.members:
+    src = hom.source.sorted_members
+    if len(hom.images) != len(src):
         raise InvariantViolation("map is not total on its source")
+    mapping = dict(zip(src, hom.images))
     if not set(mapping.values()) <= hom.target.members:
         raise InvariantViolation("map image escapes its target")
     add, mul = ring.add_table, ring.mul_table
-    src = hom.source.sorted_members
     for s in src:
         t = mapping[s]
         for s2 in src:

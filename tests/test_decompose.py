@@ -219,6 +219,12 @@ def test_no_command_path_builds_the_frozenset_ideals():
         trace = solve_unimodular(m2, element_from_obj(m2, a), element_from_obj(m2, b))
         assert verify_trace(trace)["all_passed"]
         trace.to_json()
+        fields = [getattr(trace, f.name) for f in dataclasses.fields(trace)]
+        ideals = [v for v in fields if isinstance(v, RightIdeal)]
+        ideals += [trace.phi.source, trace.phi.target]
+        assert len(ideals) == 10
+        for ideal in ideals:
+            assert "members" not in vars(ideal)
     for a in regular_elements(m2):
         unit_inverse_from_special_clean(m2, special_clean_decompose(m2, a))
     for ring in rings:
@@ -272,8 +278,7 @@ def test_verify_trace_catches_tampering_with_a_warm_memo(m2z3):
     t = solve_unimodular(m2z3, a, m2z3.minus_one())
     assert verify_trace(t)["all_passed"]  # warms the memo on every lattice value
     assert t.K != t.C and t.L.is_full()
-    zero_map = ModuleHom(t.phi.source, t.phi.target,
-                         {s: m2z3.zero for s in t.phi.source.sorted_members})
+    zero_map = ModuleHom(t.phi.source, t.phi.target, (m2z3.zero,) * len(t.phi.source))
     swaps = {"K": (t.C, "kernel_ideal"),
              "C": (t.K, "cokernel_ideal"),
              "bK": (t.C, "bK_ideal"),

@@ -21,6 +21,11 @@ def members(I):
     return set(I.members)
 
 
+def hom_from_dict(A, B, mapping):
+    """The ModuleHom of a dict over A's members, in ascending member order."""
+    return ModuleHom(A, B, tuple(mapping[s] for s in A.sorted_members))
+
+
 # -- principal ideals and annihilators --------------------------------------------
 
 def test_principal_zero_and_one(z6):
@@ -207,7 +212,7 @@ def test_summand_intersections_on_ssp_rings(catalog_rings):
 def test_hom_search_contains_identity(z6):
     A = principal(z6, 3)
     homs = hom_search(A, A, require_iso=True)
-    assert identity_hom(A).mapping in [h.mapping for h in homs]
+    assert identity_hom(A).images in [h.images for h in homs]
 
 
 def test_hom_search_counts_in_z6(z6):
@@ -247,15 +252,15 @@ def test_the_first_map_iter_homs_yields_is_the_least_one(spec):
             if not isos:
                 assert first is None, (A, B)
                 continue
-            assert (first.source, first.target, first.mapping) == \
-                (isos[0].source, isos[0].target, isos[0].mapping), (A, B)
-            assert [h.mapping for h in hom_search(A, B, True, limit=1)] == [first.mapping]
+            assert (first.source, first.target, first.images) == \
+                (isos[0].source, isos[0].target, isos[0].images), (A, B)
+            assert [h.images for h in hom_search(A, B, True, limit=1)] == [first.images]
 
 
 def test_hom_search_zero_source(z6):
     Z = RightIdeal.zero_ideal(z6)
     homs = hom_search(Z, principal(z6, 2))
-    assert len(homs) == 1 and homs[0].mapping == {0: 0}
+    assert len(homs) == 1 and homs[0].images == (0,)
     assert hom_search(Z, principal(z6, 2), require_iso=True) == []
     assert len(hom_search(Z, Z, require_iso=True)) == 1
 
@@ -277,20 +282,21 @@ def test_two_element_certificate_matches_hom_search(z6, m2z2):
 
 
 def closure_search(A, B, require_iso=False):
-    """hom_search's enumeration, extended by the reference closure."""
+    """hom_search's enumeration, extended by the reference closure; each map
+    as its images over A's ascending members."""
     if require_iso and len(A) != len(B):
         return []
     found = []
     for images in itertools.product(B.sorted_members, repeat=len(A.generators)):
         mapping = oracles.hom_extension_closure(A.ring, A.generators, images, A.members)
         if mapping is not None and (not require_iso or set(mapping.values()) == B.members):
-            found.append(mapping)
+            found.append(tuple(mapping[s] for s in A.sorted_members))
     return found
 
 
 def assert_search_matches_closure(A, B):
     for require_iso in (False, True):
-        got = [h.mapping for h in hom_search(A, B, require_iso=require_iso)]
+        got = [h.images for h in hom_search(A, B, require_iso=require_iso)]
         assert got == closure_search(A, B, require_iso), (A, B, require_iso)
 
 
@@ -344,18 +350,22 @@ def test_validate_reports_the_loops_first_failure(m2z2, t2z3):
     x, y = (parse_element(ring, m) for m in ("[[0,1],[0,0]]", "[[0,0],[0,1]]"))
     # R acts on the column ideal through c alone, so every map fixing 0 is
     # equivariant; this one sends x, y and x + y all to x
-    collapse = ModuleHom(column, column, {0: 0, x: x, y: x, ring.add(x, y): x})
+    collapse = hom_from_dict(column, column, {0: 0, x: x, y: x, ring.add(x, y): x})
     assert_validate_matches_loop(collapse, "map is not additive")
     # swapping the two entries of a first row is additive but not equivariant
     swap = {s: parse_element(ring, str([list(reversed(element_to_obj(ring, s)[0])), [0, 0]]))
             for s in row.sorted_members}
-    assert_validate_matches_loop(ModuleHom(row, row, swap), "map is not right-equivariant")
-    partial = dict(identity_hom(column).mapping)
-    del partial[y]
-    assert_validate_matches_loop(ModuleHom(column, column, partial),
+    assert_validate_matches_loop(hom_from_dict(row, row, swap), "map is not right-equivariant")
+    partial = list(identity_hom(column).images)
+    del partial[column.sorted_members.index(y)]
+    assert_validate_matches_loop(ModuleHom(column, column, tuple(partial)),
                                  "map is not total on its source")
-    assert_validate_matches_loop(ModuleHom(column, row, identity_hom(column).mapping),
+    assert_validate_matches_loop(ModuleHom(column, row, identity_hom(column).images),
                                  "map image escapes its target")
+    for stray in (-1, ring.size):  # not element indices at all
+        images = identity_hom(column).images[:-1] + (stray,)
+        assert_validate_matches_loop(ModuleHom(column, RightIdeal.full_ideal(ring), images),
+                                     "map image escapes its target")
     # random maps fixing 0 between ideals fail in later rows, of both kinds
     rng = random.Random(5)
     kinds = set()
@@ -364,9 +374,9 @@ def test_validate_reports_the_loops_first_failure(m2z2, t2z3):
         for A in ideals:
             for B in ideals:
                 for _ in range(3):
-                    mapping = {s: rng.choice(B.sorted_members) for s in A.sorted_members}
-                    mapping[ring.zero] = ring.zero
-                    hom = ModuleHom(A, B, mapping)
+                    images = [rng.choice(B.sorted_members) for s in A.sorted_members]
+                    images[A.sorted_members.index(ring.zero)] = ring.zero
+                    hom = ModuleHom(A, B, tuple(images))
                     message = validate_message(ModuleHom.validate, hom)
                     assert message == validate_message(oracles.module_hom_validate_loop, hom)
                     kinds.add(message and message.split(" at (")[0])
@@ -379,13 +389,13 @@ def test_common_complement_with_self(z6):
     A = RightIdeal.from_members(z6, {0, 3})
     e, h = common_complement_idempotent(A, A)
     assert e == summand_idempotent(A) == 3
-    assert h.mapping == {0: 0, 3: 3}
+    assert (h.source.sorted_members, h.images) == ((0, 3), (0, 3))
 
 
 def test_common_complement_zero_ideals(z6):
     Z = RightIdeal.zero_ideal(z6)
     e, h = common_complement_idempotent(Z, Z)
-    assert e == 0 and h.mapping == {0: 0}
+    assert e == 0 and (h.source.sorted_members, h.images) == ((0,), (0,))
 
 
 def test_common_complement_roundtrip_exhaustive(m2z2, t2z3):
@@ -424,7 +434,7 @@ def test_reconstruct_rejects_bad_idempotent(z6):
 
 def test_graph_of_zero_map(z6):
     Z = RightIdeal.zero_ideal(z6)
-    assert members(graph_module(ModuleHom(Z, Z, {0: 0}))) == {0}
+    assert members(graph_module(ModuleHom(Z, Z, (0,)))) == {0}
 
 
 def test_graph_of_identity_is_doubling(z6):
@@ -437,15 +447,15 @@ def test_graph_rejects_non_equivariant_map(z6):
     # total but not equivariant: its graph {0, 4} is not closed under
     # right multiplication
     A = RightIdeal.from_members(z6, {0, 2, 4})
-    bad = ModuleHom(A, A, {0: 0, 2: 2, 4: 0})
+    bad = hom_from_dict(A, A, {0: 0, 2: 2, 4: 0})
     with pytest.raises(InvariantViolation):
         graph_module(bad)
 
 
 def test_graph_rejects_partial_map(z6):
     A = RightIdeal.from_members(z6, {0, 2, 4})
-    partial = ModuleHom(A, A, {0: 0, 2: 2})
-    with pytest.raises(InvariantViolation):
+    partial = ModuleHom(A, A, (0, 2))  # one image short: 4 has none
+    with pytest.raises(InvariantViolation, match="map is not total on its source"):
         graph_module(partial)
 
 

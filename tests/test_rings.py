@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ringlab import (CapacityError, RingMismatchError, element_from_obj,
+from ringlab import (CapacityError, element_from_obj,
                      element_repr, element_to_obj, make_matrix_ring,
                      make_opposite, make_product, make_triangular_ring, make_zmod,
                      parse_element, parse_ring_spec)
@@ -276,20 +276,7 @@ def test_tables_are_read_only(z6):
         z6.mul_table[0, 0] = 1
 
 
-# -- element wrappers and literals ---------------------------------------------------
-
-def test_ring_element_arithmetic(z6):
-    a, b = z6.element(4), z6.element(5)
-    assert (a + b).index == 3
-    assert (a * b).index == 2
-    assert (-a).index == 2
-    assert (a - b).index == 5
-
-
-def test_ring_element_mismatch(z6, z4):
-    with pytest.raises(RingMismatchError):
-        z6.element(1) + z4.element(1)
-
+# -- element literals ------------------------------------------------------------------
 
 def test_literal_roundtrip(t2z3, m2z2):
     prod = parse_ring_spec("prod:Zn:2+Zn:3")
