@@ -443,69 +443,50 @@ def ring_profile(ring):
     }
 
 
-def _all_regular_special_clean(ring):
-    sc = special_clean_flags(ring)
-    for a in regular_elements(ring):
-        if not sc[a]:
-            return False, {"element": int(a)}
-    return True, None
-
-
-def _all_elements_special_clean(ring):
-    sc = special_clean_flags(ring)
-    bad = np.flatnonzero(~sc)
+def _special_clean(ring, elements):
+    """Every element of the boolean mask `elements` has a special clean
+    decomposition; the witness is the least one that has none."""
+    bad = np.flatnonzero(elements & ~special_clean_flags(ring))
     if bad.size:
-        return False, {"element": int(bad[0])}
-    return True, None
+        return Verdict(False, witness={"element": int(bad[0])})
+    return Verdict(True)
+
+
+def _ssp_and_ic(ring):
+    """The ring has both ssp and ic; the witness holds both verdicts."""
+    ssp, ic = is_ssp(ring), is_ic(ring)
+    if ssp.holds and ic.holds:
+        return Verdict(True)
+    return Verdict(False, witness={"ssp": ssp.to_json(), "ic": ic.to_json()})
 
 
 def theorem_suite(ring, which):
     """Evaluate the numbered conditions of a named suite independently and
-    check the expected equivalence pattern. A failed hypothesis downgrades
-    the assertion to not-applicable, with conditions still reported."""
+    check the expected equivalence pattern. Each condition's holds and
+    witness sit under its number; `equivalent` is None (not applicable),
+    with the conditions still reported, when the ssp hypothesis of T2.4 or
+    R2.5 fails or a condition was skipped."""
     if which not in SUITE_NAMES:
         raise ValueError(f"unknown suite {which!r}; expected one of {SUITE_NAMES}")
     report = {"result": which, "ring": ring.spec,
               "description": SUITE_DESCRIPTIONS[which]}
     witnesses = {}
+    hypothesis = None
 
     if which == "T2.4":
-        hyp = is_ssp(ring)
-        c1 = is_ic(ring)
-        c2 = idem_sr_condition(ring)
-        c3_holds, c3_wit = _all_regular_special_clean(ring)
-        conditions = {"1": c1.holds, "2": c2.holds, "3": c3_holds}
-        for name, v in (("1", c1), ("2", c2)):
-            if v.witness:
-                witnesses[name] = v.witness
-        if c3_wit:
-            witnesses["3"] = c3_wit
-        report["hypothesis"] = "ssp"
-        report["hypothesis_met"] = hyp.holds
-        equivalent = (len(set(conditions.values())) == 1) if hyp.holds else None
+        hypothesis = is_ssp(ring)
+        conditions = [is_ic(ring), idem_sr_condition(ring),
+                      _special_clean(ring, regularity_table(ring)[0])]
 
     elif which == "T2.9":
-        ssp, ic = is_ssp(ring), is_ic(ring)
         prod = product_regular_condition(ring, 2)
-        conditions = {"1": bool(ssp.holds and ic.holds),
-                      "2": prod.holds,
-                      "3": prod.extra["products_special_clean"]}
-        if not conditions["1"]:
-            witnesses["1"] = {"ssp": ssp.to_json(), "ic": ic.to_json()}
-        if prod.witness:
-            witnesses["2"] = prod.witness
-        if "special_clean_witness" in (prod.extra or {}):
-            witnesses["3"] = prod.extra["special_clean_witness"]
-        report["hypothesis_met"] = True
-        equivalent = len(set(conditions.values())) == 1
+        conditions = [_ssp_and_ic(ring), prod,
+                      Verdict(prod.extra["products_special_clean"],
+                              prod.extra.get("special_clean_witness"))]
 
     elif which == "C2.10":
-        ssp, ic = is_ssp(ring), is_ic(ring)
         per_arity = {k: product_regular_condition(ring, k)
                      for k in range(2, PRODUCT_ARITY_BOUND + 1)}
-        c2 = all(v.holds for v in per_arity.values())
-        c3 = all(v.extra["products_special_clean"] for v in per_arity.values())
-        conditions = {"1": bool(ssp.holds and ic.holds), "2": c2, "3": c3}
         lit_holds, lit_wit = _literal_products_special_clean(ring, 2)
         report["arity_verdicts"] = {str(k): {"unit_regular": v.holds,
                                              "special_clean": v.extra["products_special_clean"]}
@@ -513,52 +494,40 @@ def theorem_suite(ring, which):
         report["literal_all_products_special_clean"] = lit_holds
         if lit_wit:
             witnesses["literal"] = lit_wit
-        for k, v in per_arity.items():
-            if v.witness:
-                witnesses[f"arity_{k}"] = v.witness
-        report["hypothesis_met"] = True
-        equivalent = len(set(conditions.values())) == 1
+        witnesses.update((f"arity_{k}", v.witness) for k, v in per_arity.items() if v.witness)
+        # C2.10's witnesses are the literal and per-arity ones above, none per condition
+        conditions = [Verdict(_ssp_and_ic(ring).holds),
+                      Verdict(all(v.holds for v in per_arity.values())),
+                      Verdict(all(v.extra["products_special_clean"]
+                                  for v in per_arity.values()))]
 
     elif which == "R2.5":
-        hyp = is_ssp(ring)
-        c1 = is_ic(ring)
+        hypothesis = is_ssp(ring)
         ann = idem_condition_annihilator(ring)
-        right = idem_condition_right_sided(ring)
-        conditions = {"1": c1.holds, "2": ann.holds, "3": right.holds}
-        for name, v in (("1", c1), ("2", ann), ("3", right)):
-            if v.witness:
-                witnesses[name] = v.witness
         if ann.extra:
             report["annihilator_hypothesis"] = ann.extra
-        report["hypothesis"] = "ssp"
-        report["hypothesis_met"] = hyp.holds
-        equivalent = (len(set(conditions.values())) == 1) if hyp.holds else None
+        conditions = [is_ic(ring), ann, idem_condition_right_sided(ring)]
 
     elif which == "C2.6":
-        c1 = ring_unit_regular(ring)
-        c2, c2_wit = _all_elements_special_clean(ring)
-        conditions = {"1": c1, "2": c2}
-        if c2_wit:
-            witnesses["2"] = c2_wit
-        report["hypothesis_met"] = True
-        equivalent = c1 == c2
+        conditions = [Verdict(ring_unit_regular(ring)),
+                      _special_clean(ring, np.ones(ring.size, dtype=bool))]
 
     else:  # L2.3
-        c1 = is_ic(ring)
-        c2 = direct_sum_cancellation(ring)
-        conditions = {"1": c1.holds, "2": c2.holds}
-        if c2.holds is None:
-            report["skipped"] = c2.note
-            equivalent = None
-        else:
-            equivalent = c1.holds == c2.holds
-        if c1.witness:
-            witnesses["1"] = c1.witness
-        if c2.witness:
-            witnesses["2"] = c2.witness
-        report["hypothesis_met"] = True
+        cancellation = direct_sum_cancellation(ring)
+        if cancellation.holds is None:
+            report["skipped"] = cancellation.note
+        conditions = [is_ic(ring), cancellation]
 
-    report["conditions"] = conditions
-    report["equivalent"] = equivalent
+    if hypothesis is not None:
+        report["hypothesis"] = "ssp"
+    report["hypothesis_met"] = hypothesis is None or hypothesis.holds
+    holds = report["conditions"] = {}
+    for i, v in enumerate(conditions, 1):
+        holds[str(i)] = v.holds
+        if v.witness:
+            witnesses[str(i)] = v.witness
+    agree = set(holds.values())
+    report["equivalent"] = (len(agree) == 1 if report["hypothesis_met"] and None not in agree
+                            else None)
     report["witnesses"] = witnesses
     return report

@@ -25,6 +25,7 @@ from .errors import (CapacityError, ConstructionAbort, HypothesisViolation,
                      InvariantViolation, LiteralParseError, SpecParseError)
 from .reports import (decompose_rows, hunt_rows, profile_rows, render_csv,
                       render_json, render_table, suite_rows, tag_rows)
+from .rings import DEFAULT_SIZE_CAP
 
 PROPERTY_GETTERS = {
     "ssp": lambda ring: bool(is_ssp(ring).holds),
@@ -286,6 +287,16 @@ def _positive_int(text):
     return value
 
 
+def _hunt_max_size(text):
+    """argparse type of hunt's --max-size: a count from 1 to the size cap, so
+    that no candidate past the cap is ever listed."""
+    value = _positive_int(text)
+    if value > DEFAULT_SIZE_CAP:
+        raise argparse.ArgumentTypeError(f"must be at most the size cap of "
+                                         f"{DEFAULT_SIZE_CAP}, got {value}")
+    return value
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json", "csv"), default="table")
@@ -320,7 +331,7 @@ def _build_parser():
                        help="search rings matching a property expression")
     p.add_argument("--property", required=True, dest="property_expr",
                    help="expression over ssp, sip, ic, sr1, abelian with !, &, |")
-    p.add_argument("--max-size", type=_positive_int, required=True)
+    p.add_argument("--max-size", type=_hunt_max_size, required=True)
     return parser
 
 
@@ -349,50 +360,32 @@ def main(argv=None):
     command_echo = list(argv) if argv is not None else sys.argv[1:]
     cache = _make_cache(args)
 
+    start = time.perf_counter()
+    timing = {}
     try:
         if args.cmd == "classify":
-            start = time.perf_counter()
             section = run_classify(args.ring, cache)
-            report = _base_report(command_echo)
-            report.update(section)
-            report["status"] = "pass"
-            report["timing"] = {"total_s": time.perf_counter() - start}
-            _emit(args, report, lambda: profile_rows(section["profiles"][0]))
-            code = 0
-
+            ok = True
+            make_rows = [lambda: profile_rows(section["profiles"][0])]
         elif args.cmd == "decompose":
-            start = time.perf_counter()
             section = run_decompose(args.ring, args.element, args.b)
-            report = _base_report(command_echo)
-            report.update(section)
             ok = section["verification"]["all_passed"]
-            report["status"] = "pass" if ok else "fail"
-            report["timing"] = {"total_s": time.perf_counter() - start}
-            _emit(args, report, lambda: decompose_rows(section))
-            code = 0 if ok else 1
-
+            make_rows = [lambda: decompose_rows(section)]
         elif args.cmd == "verify":
-            start = time.perf_counter()
             entries = load_catalog(args.catalog) if args.catalog else None
             section, ok = run_verify(args.suite, entries, cache, jobs=args.jobs)
-            report = _base_report(command_echo)
-            timing = section.pop("timing")
-            report.update(section)
-            report["timing"] = {"total_s": time.perf_counter() - start,
-                                "per_ring_s": timing}
-            _emit(args, report, lambda: suite_rows(section["suites"]),
-                  lambda: tag_rows(section["catalog"]))
-            code = 0 if ok else 1
-
+            timing["per_ring_s"] = section.pop("timing")
+            make_rows = [lambda: suite_rows(section["suites"]),
+                         lambda: tag_rows(section["catalog"])]
         else:  # hunt
-            start = time.perf_counter()
             section = run_hunt(args.property_expr, args.max_size)
-            report = _base_report(command_echo)
-            report.update(section)
-            report["status"] = "pass"
-            report["timing"] = {"total_s": time.perf_counter() - start}
-            _emit(args, report, lambda: hunt_rows(section["matches"]))
-            code = 0
+            ok = True
+            make_rows = [lambda: hunt_rows(section["matches"])]
+        report = _base_report(command_echo)
+        report.update(section)
+        report["status"] = "pass" if ok else "fail"
+        report["timing"] = {"total_s": time.perf_counter() - start, **timing}
+        _emit(args, report, *make_rows)
 
     except (SpecParseError, LiteralParseError, CapacityError,
             HypothesisViolation, ValueError, OSError) as exc:
@@ -403,7 +396,7 @@ def main(argv=None):
         return 1
 
     cache.save()
-    return code
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

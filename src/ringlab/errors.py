@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An error with constructor arguments keeps them in `args` and builds its
+message in `__str__`, so it survives the pickling that carries it out of a
+`verify --jobs` worker.
+"""
 
 
 class RinglabError(Exception):
@@ -9,21 +14,26 @@ class CapacityError(RinglabError):
     """A construction would exceed the configured ring-size cap."""
 
     def __init__(self, would_be_size, cap):
+        super().__init__(would_be_size, cap)
         self.would_be_size = would_be_size
         self.cap = cap
-        super().__init__(
-            f"construction would produce a ring with {would_be_size} elements, "
-            f"above the size cap of {cap}"
-        )
+
+    def __str__(self):
+        return (f"construction would produce a ring with {self.would_be_size} "
+                f"elements, above the size cap of {self.cap}")
 
 
 class SpecParseError(RinglabError):
     """A ring-spec string does not match the grammar."""
 
     def __init__(self, message, text, pos):
+        super().__init__(message, text, pos)
         self.text = text
         self.pos = pos
-        super().__init__(f"{message} at position {pos} in {text!r}")
+
+    def __str__(self):
+        message, text, pos = self.args
+        return f"{message} at position {pos} in {text!r}"
 
 
 class LiteralParseError(RinglabError):
@@ -46,8 +56,12 @@ class ConstructionAbort(RinglabError):
     """
 
     def __init__(self, step, message):
+        super().__init__(step, message)
         self.step = step
-        super().__init__(f"construction aborted at step {step}: {message}")
+
+    def __str__(self):
+        step, message = self.args
+        return f"construction aborted at step {step}: {message}"
 
 
 class SearchBudgetExceeded(RinglabError):

@@ -10,6 +10,12 @@ import itertools
 import numpy as np
 
 from ringlab import InvariantViolation, Verdict
+from ringlab.classify import (PRODUCT_ARITY_BOUND, SUITE_DESCRIPTIONS, SUITE_NAMES,
+                              _literal_products_special_clean, direct_sum_cancellation,
+                              idem_condition_annihilator, idem_condition_right_sided,
+                              idem_sr_condition, is_ic, is_ssp, product_regular_condition,
+                              ring_unit_regular, special_clean_flags)
+from ringlab.elements import regular_elements
 from ringlab.rings import FiniteRing, positions
 
 
@@ -441,3 +447,130 @@ def product_levels_loop(ring, arity, factors):
                     nxt[v] = (p, int(c))
         levels.append(nxt)
     return levels
+
+
+# -- equivalence suites ----------------------------------------------------------------
+#
+# Every suite written out as its own case, conditions, witnesses and equivalence
+# verdict included, kept as a reference for the shared report tail of
+# ringlab.classify.theorem_suite; it calls the same verdicts.
+
+
+def _all_regular_special_clean(ring):
+    sc = special_clean_flags(ring)
+    for a in regular_elements(ring):
+        if not sc[a]:
+            return False, {"element": int(a)}
+    return True, None
+
+
+def _all_elements_special_clean(ring):
+    sc = special_clean_flags(ring)
+    bad = np.flatnonzero(~sc)
+    if bad.size:
+        return False, {"element": int(bad[0])}
+    return True, None
+
+
+def theorem_suite_by_cases(ring, which):
+    """theorem_suite with each suite writing its own conditions, witnesses and
+    equivalence verdict: same report, same witness order."""
+    if which not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {which!r}; expected one of {SUITE_NAMES}")
+    report = {"result": which, "ring": ring.spec,
+              "description": SUITE_DESCRIPTIONS[which]}
+    witnesses = {}
+
+    if which == "T2.4":
+        hyp = is_ssp(ring)
+        c1 = is_ic(ring)
+        c2 = idem_sr_condition(ring)
+        c3_holds, c3_wit = _all_regular_special_clean(ring)
+        conditions = {"1": c1.holds, "2": c2.holds, "3": c3_holds}
+        for name, v in (("1", c1), ("2", c2)):
+            if v.witness:
+                witnesses[name] = v.witness
+        if c3_wit:
+            witnesses["3"] = c3_wit
+        report["hypothesis"] = "ssp"
+        report["hypothesis_met"] = hyp.holds
+        equivalent = (len(set(conditions.values())) == 1) if hyp.holds else None
+
+    elif which == "T2.9":
+        ssp, ic = is_ssp(ring), is_ic(ring)
+        prod = product_regular_condition(ring, 2)
+        conditions = {"1": bool(ssp.holds and ic.holds),
+                      "2": prod.holds,
+                      "3": prod.extra["products_special_clean"]}
+        if not conditions["1"]:
+            witnesses["1"] = {"ssp": ssp.to_json(), "ic": ic.to_json()}
+        if prod.witness:
+            witnesses["2"] = prod.witness
+        if "special_clean_witness" in (prod.extra or {}):
+            witnesses["3"] = prod.extra["special_clean_witness"]
+        report["hypothesis_met"] = True
+        equivalent = len(set(conditions.values())) == 1
+
+    elif which == "C2.10":
+        ssp, ic = is_ssp(ring), is_ic(ring)
+        per_arity = {k: product_regular_condition(ring, k)
+                     for k in range(2, PRODUCT_ARITY_BOUND + 1)}
+        c2 = all(v.holds for v in per_arity.values())
+        c3 = all(v.extra["products_special_clean"] for v in per_arity.values())
+        conditions = {"1": bool(ssp.holds and ic.holds), "2": c2, "3": c3}
+        lit_holds, lit_wit = _literal_products_special_clean(ring, 2)
+        report["arity_verdicts"] = {str(k): {"unit_regular": v.holds,
+                                             "special_clean": v.extra["products_special_clean"]}
+                                    for k, v in per_arity.items()}
+        report["literal_all_products_special_clean"] = lit_holds
+        if lit_wit:
+            witnesses["literal"] = lit_wit
+        for k, v in per_arity.items():
+            if v.witness:
+                witnesses[f"arity_{k}"] = v.witness
+        report["hypothesis_met"] = True
+        equivalent = len(set(conditions.values())) == 1
+
+    elif which == "R2.5":
+        hyp = is_ssp(ring)
+        c1 = is_ic(ring)
+        ann = idem_condition_annihilator(ring)
+        right = idem_condition_right_sided(ring)
+        conditions = {"1": c1.holds, "2": ann.holds, "3": right.holds}
+        for name, v in (("1", c1), ("2", ann), ("3", right)):
+            if v.witness:
+                witnesses[name] = v.witness
+        if ann.extra:
+            report["annihilator_hypothesis"] = ann.extra
+        report["hypothesis"] = "ssp"
+        report["hypothesis_met"] = hyp.holds
+        equivalent = (len(set(conditions.values())) == 1) if hyp.holds else None
+
+    elif which == "C2.6":
+        c1 = ring_unit_regular(ring)
+        c2, c2_wit = _all_elements_special_clean(ring)
+        conditions = {"1": c1, "2": c2}
+        if c2_wit:
+            witnesses["2"] = c2_wit
+        report["hypothesis_met"] = True
+        equivalent = c1 == c2
+
+    else:  # L2.3
+        c1 = is_ic(ring)
+        c2 = direct_sum_cancellation(ring)
+        conditions = {"1": c1.holds, "2": c2.holds}
+        if c2.holds is None:
+            report["skipped"] = c2.note
+            equivalent = None
+        else:
+            equivalent = c1.holds == c2.holds
+        if c1.witness:
+            witnesses["1"] = c1.witness
+        if c2.witness:
+            witnesses["2"] = c2.witness
+        report["hypothesis_met"] = True
+
+    report["conditions"] = conditions
+    report["equivalent"] = equivalent
+    report["witnesses"] = witnesses
+    return report

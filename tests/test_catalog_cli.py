@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 import types
@@ -47,6 +48,17 @@ def test_parse_errors_carry_position():
 def test_parse_capacity_error():
     with pytest.raises(CapacityError):
         parse_ring_spec("M2:Zn:9")  # 9**4 = 6561 > 4096
+
+
+@pytest.mark.parametrize("error", [SpecParseError("expected a number", "Zn:x", 3),
+                                   CapacityError(5000, 4096),
+                                   ConstructionAbort(7, "no isomorphism fL -> gL")])
+def test_errors_survive_a_pickle_round_trip(error):
+    # a verify --jobs worker hands its errors back pickled
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert vars(copy) == vars(error)
 
 
 def test_matrix_shape_size_is_checked_before_its_cells_are_listed(monkeypatch, capsys):
@@ -478,6 +490,29 @@ def test_a_max_size_of_one_is_accepted(capsys):
     assert json.loads(out)["max_size"] == 1
 
 
+@pytest.mark.parametrize("max_size", ["4097", "1000000000"])
+def test_a_max_size_above_the_cap_is_refused_before_any_candidate(max_size, capsys,
+                                                                   monkeypatch):
+    def forbidden(*_):
+        raise AssertionError("hunt listed or built a candidate")
+
+    monkeypatch.setattr("ringlab.cli._hunt_candidates", forbidden)
+    monkeypatch.setattr("ringlab.cli.parse_ring_spec", forbidden)
+    with pytest.raises(SystemExit) as exc:
+        main(["hunt", "--property", "ssp", "--max-size", max_size, "--no-cache"])
+    assert exc.value.code == 2
+    assert "argument --max-size: must be at most the size cap of 4096" in \
+        capsys.readouterr().err
+
+
+def test_a_max_size_at_the_cap_is_accepted(capsys, monkeypatch):
+    monkeypatch.setattr("ringlab.cli._hunt_candidates", lambda max_size: [])
+    code, out = run_cli(capsys, "hunt", "--property", "ssp", "--max-size", "4096",
+                        "--format", "json", "--no-cache")
+    assert code == 0
+    assert json.loads(out)["max_size"] == 4096
+
+
 def test_parallel_verify_times_every_ring(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "T2.4", "--format", "json",
                         "--no-cache", "--jobs", "2")
@@ -496,3 +531,16 @@ def test_cli_jobs_matches_serial(capsys):
         del report["command"]  # the echoed --jobs value legitimately differs
     assert json.dumps(strip_timing(a), sort_keys=True) == \
         json.dumps(strip_timing(b), sort_keys=True)
+
+
+@pytest.mark.parametrize("spec", ["Zn:x", "Zn:5000"])
+def test_parallel_verify_reports_entry_errors_like_the_serial_path(spec, capsys, tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([{"spec": spec, "tags": ["ic"]}]))
+    errors = []
+    for jobs in ("1", "2"):
+        code = main(["verify", "--catalog", str(path), "--no-cache", "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]

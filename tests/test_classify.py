@@ -453,6 +453,18 @@ def test_t24_not_applicable_without_hypothesis(t2z3):
     assert set(rep["conditions"]) == {"1", "2", "3"}
 
 
+@pytest.mark.parametrize("spec", [e.spec for e in default_catalog()] + [
+    "T2:Zn:4", "op:T2:Zn:4", "M2:Zn:4", "prod:T2:Zn:2+Zn:2", "T3:Zn:2", "Zn:1"])
+def test_suites_match_the_suite_by_cases_reference(spec):
+    # M2:Zn:4 has 256 elements, so its L2.3 is skipped
+    ring = parse_ring_spec(spec)
+    for name in SUITE_NAMES:
+        got, want = theorem_suite(ring, name), oracles.theorem_suite_by_cases(ring, name)
+        assert got == want, name
+        # table and csv print the witnesses in insertion order
+        assert list(got["witnesses"]) == list(want["witnesses"]), name
+
+
 def test_c26_links_unit_regularity_and_special_cleanness(catalog_rings):
     for spec, ring in catalog_rings.items():
         rep = theorem_suite(ring, "C2.6")
