@@ -16,9 +16,8 @@ from ringlab import (classify_element, format_element, is_clean, parse_element,
 z6 = parse_ring_spec("Zn:6")
 
 print("== the residue 3 in Z_6 ==")
-w = regular_witness(z6, 3)
-print("reflexive inner inverse:", w.inner_inverse,
-      " (3 *", w.inner_inverse, "* 3 = 3 and back)")
+x = regular_witness(z6, 3)
+print("reflexive inner inverse:", x, " (3 *", x, "* 3 = 3 and back)")
 print("least unit inner inverse:", unit_regular_witness(z6, 3))
 ws = special_clean_witnesses(z6, 3)
 print("special clean decompositions:", [(d.idem, d.unit) for d in ws])

@@ -19,10 +19,9 @@ from .classify import (SUITE_NAMES, Verdict, direct_sum_cancellation, has_stable
 from .decompose import (ConstructionTrace, idempotent_witness_set, solve_unimodular,
                         special_clean_decompose, unique_special_clean_abelian,
                         verify_trace)
-from .elements import (CleanDecomposition, RegularityWitness, classify_element,
-                       is_clean, regular_elements, regular_witness,
-                       special_clean_witnesses, unit_inverse_from_special_clean,
-                       unit_regular_witness)
+from .elements import (CleanDecomposition, classify_element, is_clean,
+                       regular_elements, regular_witness, special_clean_witnesses,
+                       unit_inverse_from_special_clean, unit_regular_witness)
 from .errors import (CapacityError, ConstructionAbort, HypothesisViolation,
                      InvariantViolation, LiteralParseError, RingMismatchError,
                      RinglabError, SearchBudgetExceeded, SpecParseError)

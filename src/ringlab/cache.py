@@ -2,8 +2,8 @@
 
 The cache is an optimization only: every value it serves was computed by the
 same code that would recompute it, because a file written under another
-version or source fingerprint is ignored whole. Writes are atomic
-(write-temp-rename).
+version or source fingerprint is ignored whole, and so is a file whose
+entries are not all JSON objects. Writes are atomic (write-temp-rename).
 """
 
 from __future__ import annotations
@@ -51,8 +51,11 @@ class ResultCache:
             return
         if not isinstance(data, dict):
             return
-        if (data.get("version"), data.get("fingerprint")) == (self.version, self.fingerprint):
-            self._entries = dict(data.get("entries", {}))
+        entries = data.get("entries")
+        if ((data.get("version"), data.get("fingerprint")) == (self.version, self.fingerprint)
+                and isinstance(entries, dict)
+                and all(isinstance(v, dict) for v in entries.values())):
+            self._entries = entries
 
     @staticmethod
     def _key(spec, operation):

@@ -118,20 +118,41 @@ def unimodular_matrix(ring, side="left"):
 
 
 @per_ring
+def completion_table(ring, side):
+    """Boolean table T[a, b] = (some idempotent e with aR (+) eR = R makes
+    a + e*b a unit) for side="left"; side="right" asks for Ra (+) Re = R and
+    a + b*e instead. The side has no default, so each table has one memo key.
+
+    Rows a are grouped by their complement idempotents, so the products e*b
+    (b*e on the right) are gathered once per group; each a then reads them
+    through its row of unit flags of a + x. A row without complements, that
+    is of an a that is not regular, is false."""
+    partners = summand_partners(ring, "right" if side == "left" else "left")
+    mul = ring.mul_table if side == "left" else ring.mul_table.T
+    add, units = ring.add_table, ring.unit_flags
+    groups = {}
+    for a, complements in enumerate(partners):
+        if complements:
+            groups.setdefault(complements, []).append(a)
+    table = np.zeros((ring.size, ring.size), dtype=bool)
+    for complements, rows in groups.items():
+        products = mul[list(complements)]
+        for a in rows:
+            table[a] = units[add[a]][products].any(axis=0)
+    table.setflags(write=False)
+    return table
+
+
 def special_clean_flags(ring):
-    """flags[a] = a has at least one special clean decomposition."""
-    partners = summand_partners(ring, "right")
-    units = ring.unit_flags
-    flags = np.array([any(units[ring.sub(a, e)] for e in partners[a][0])
-                      for a in range(ring.size)], dtype=bool)
-    flags.setflags(write=False)
-    return flags
+    """flags[a] = a has a special clean decomposition a = e + u, with aR meet
+    eR = 0. Then aR + eR holds the unit u = a - e, so aR (+) eR = R: the flags
+    are the completion table's column at b = -1."""
+    return completion_table(ring, "left")[:, ring.minus_one()]
 
 
 def ring_unit_regular(ring):
     """True iff every element of the ring is unit-regular."""
-    mask, _ = unit_regularity_table(ring)
-    return bool(mask.all())
+    return bool(unit_regularity_table(ring).all())
 
 
 # -- the property predicates ---------------------------------------------------
@@ -173,8 +194,7 @@ def is_sip(ring):
 def is_ic(ring):
     """Every regular element is unit-regular (internal cancellation)."""
     reg_mask, _ = regularity_table(ring)
-    ureg_mask, _ = unit_regularity_table(ring)
-    bad = np.flatnonzero(reg_mask & ~ureg_mask)
+    bad = np.flatnonzero(reg_mask & ~unit_regularity_table(ring))
     if bad.size:
         return Verdict(False, witness={"element": int(bad[0])},
                        checked=int(reg_mask.sum()))
@@ -215,28 +235,11 @@ def has_stable_range_1(ring):
                           lambda a, b: {"pair": [a, b]})
 
 
-def _idem_condition_over_pairs(ring, pairs, side="left"):
-    """Shared scan: each pair (a, b) set in the boolean table `pairs` needs an
-    idempotent e with a + e*b a unit and aR + eR an internal direct sum equal
-    to R; side="right" asks for a + b*e a unit and Ra (+) Re = R instead. The
-    witness is the first failing pair in row-major order.
-
-    Rows a are grouped by their complement idempotents, so the products e*b
-    (b*e on the right) are gathered once per group; each a then reads them
-    through its row of unit flags of a + x."""
-    partners = summand_partners(ring, "right" if side == "left" else "left")
-    mul = ring.mul_table if side == "left" else ring.mul_table.T
-    add, units = ring.add_table, ring.unit_flags
-    groups = {}
-    for a in np.flatnonzero(pairs.any(axis=1)):
-        groups.setdefault(partners[a][1], []).append(a)
-    ok = np.zeros(pairs.shape, dtype=bool)
-    for complements, rows in groups.items():
-        if complements:
-            products = mul[list(complements)]
-            for a in rows:
-                ok[a] = units[add[a]][products].any(axis=0)
-    return _table_verdict(pairs, ok, lambda a, b: {
+def _completion_verdict(ring, pairs, side="left"):
+    """Each pair (a, b) set in the boolean table `pairs` needs a cell of the
+    completion table; the witness is the first failing pair in row-major
+    order."""
+    return _table_verdict(pairs, completion_table(ring, side), lambda a, b: {
         "pair": [a, b], "idempotents_tried": list(ring.idempotent_list)})
 
 
@@ -249,7 +252,7 @@ def _regular_pairs(ring):
 def idem_sr_condition(ring):
     """For regular a, b with Ra + Rb = R there is an idempotent e with
     a + e*b a unit and aR (+) eR = R."""
-    return _idem_condition_over_pairs(ring, unimodular_matrix(ring) & _regular_pairs(ring))
+    return _completion_verdict(ring, unimodular_matrix(ring) & _regular_pairs(ring))
 
 
 @per_ring
@@ -264,7 +267,7 @@ def idem_condition_annihilator(ring):
     ann = [masks[a] for a in reps]
     nonzero = [m & ~(1 << ring.zero) for m in ann]
     pairs = ~_meets(nonzero, ann)[np.ix_(labels, labels)] & _regular_pairs(ring)
-    verdict = _idem_condition_over_pairs(ring, pairs)
+    verdict = _completion_verdict(ring, pairs)
     wider, _ = _first_failure(pairs, unimodular_matrix(ring))
     extra = {"hypothesis_wider_than_unimodular": wider is not None}
     if wider is not None:
@@ -284,7 +287,7 @@ def idem_condition_right_sided(ring):
         verdict = idem_sr_condition(ring)
     else:
         pairs = unimodular_matrix(ring, "right") & _regular_pairs(ring)
-        verdict = _idem_condition_over_pairs(ring, pairs, side="right")
+        verdict = _completion_verdict(ring, pairs, "right")
     note = "computed on the opposite ring; indices are shared with the original"
     return Verdict(verdict.holds, verdict.witness, verdict.checked, note=note)
 
@@ -295,7 +298,7 @@ def right_sided_certificate(ring, a, b):
     A per-pair search in the given ring, so it cross-checks the table scan
     behind the right-sided verdict.
     """
-    for e in summand_partners(ring, "left")[a][1]:
+    for e in summand_partners(ring, "left")[a]:
         if ring.unit_flags[ring.add(a, ring.mul(b, e))]:
             return e
     return None
@@ -370,8 +373,7 @@ def product_regular_condition(ring, arity):
         raise ValueError(f"arity {arity} exceeds the bound {PRODUCT_ARITY_BOUND}")
     regs = regular_elements(ring)
     levels = _product_levels(ring, arity, regs)
-    ureg_mask, _ = unit_regularity_table(ring)
-    witness = _least_failing_product(levels, ureg_mask)
+    witness = _least_failing_product(levels, unit_regularity_table(ring))
     sc_witness = _least_failing_product(levels, special_clean_flags(ring))
     extra = {"products_special_clean": sc_witness is None}
     if sc_witness is not None:
@@ -400,7 +402,7 @@ def direct_sum_cancellation(ring):
     partners = summand_partners(ring, "right")
     summands = ring.summand_table.items()
     decomps = [(A, ea, B, eb) for A, ea in summands for B, eb in summands
-               if eb in partners[ea][1]]
+               if eb in partners[ea]]
 
     iso_memo = {}
 

@@ -386,6 +386,7 @@ def main(argv=None):
         report["status"] = "pass" if ok else "fail"
         report["timing"] = {"total_s": time.perf_counter() - start, **timing}
         _emit(args, report, *make_rows)
+        cache.save()
 
     except (SpecParseError, LiteralParseError, CapacityError,
             HypothesisViolation, ValueError, OSError) as exc:
@@ -394,8 +395,6 @@ def main(argv=None):
     except (ConstructionAbort, InvariantViolation) as exc:
         print(f"ringlab: assertion failure: {exc}", file=sys.stderr)
         return 1
-
-    cache.save()
     return 0 if ok else 1
 
 

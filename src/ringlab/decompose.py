@@ -94,16 +94,15 @@ def solve_unimodular(ring, a, b):
     to be summand-sum closed with internal cancellation such an abort is a
     defect and the error says which step broke.
     """
-    wa = regular_witness(ring, a)
-    if wa is None:
+    x = regular_witness(ring, a)
+    if x is None:
         raise HypothesisViolation(f"element {a} is not regular in {ring.spec}")
     if regular_witness(ring, b) is None:
         raise HypothesisViolation(f"element {b} is not regular in {ring.spec}")
     if not unimodular_matrix(ring)[a, b]:
         raise HypothesisViolation(f"Ra + Rb != R for pair ({a}, {b}) in {ring.spec}")
 
-    # step 1: reflexive inner inverse
-    x = wa.inner_inverse
+    # step 1: x, the reflexive inner inverse of a found above
 
     # step 2: the two Peirce splittings attached to a
     xa, ax = ring.mul(x, a), ring.mul(a, x)

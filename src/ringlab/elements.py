@@ -16,15 +16,6 @@ from .rings import per_ring, summand_partners
 
 
 @dataclass(frozen=True)
-class RegularityWitness:
-    """An inner inverse x of a with a = a*x*a; reflexive means x = x*a*x too."""
-
-    element: int
-    inner_inverse: int
-    reflexive: bool = True
-
-
-@dataclass(frozen=True)
 class CleanDecomposition:
     """a = idem + unit; `special` records that aR and idem*R meet only in 0."""
 
@@ -39,20 +30,12 @@ class CleanDecomposition:
 
 
 @per_ring
-def _axa_table(ring):
-    """Table t[a, x] = a*x*a."""
-    n = ring.size
-    m = ring.mul_table
-    ax = m  # ax[a, x] = a*x
-    return m[ax, np.arange(n)[:, None]]
-
-
-@per_ring
 def regularity_table(ring):
-    """(mask, least_x): which elements are regular, with least inner inverse."""
-    t = _axa_table(ring)
-    n = ring.size
-    hits = t == np.arange(n)[:, None]
+    """(mask, least_x): which elements are regular, with least inner inverse.
+    The n x n table of a*x*a is a temporary; only the two arrays are kept."""
+    m = ring.mul_table
+    column = np.arange(ring.size)[:, None]
+    hits = m[m, column] == column  # hits[a, x] = (a*x*a == a)
     mask = hits.any(axis=1)
     least = np.where(mask, hits.argmax(axis=1), -1)
     return mask, least
@@ -60,14 +43,12 @@ def regularity_table(ring):
 
 @per_ring
 def unit_regularity_table(ring):
-    """(mask, least_u): which elements are unit-regular, least unit witness."""
-    t = _axa_table(ring)
-    n = ring.size
-    us = np.flatnonzero(ring.unit_flags)
-    hits = t[:, us] == np.arange(n)[:, None]
-    mask = hits.any(axis=1)
-    least = np.where(mask, us[hits.argmax(axis=1)], -1)
-    return mask, least
+    """Which elements are unit-regular: a is unit-regular iff a = e*u for an
+    idempotent e and a unit u (a = a*v*a gives e = a*v and a = e*v^-1; a = e*u
+    gives a*u^-1*a = a), so the mask marks the products of E x U."""
+    mask = np.zeros(ring.size, dtype=bool)
+    mask[ring.mul_table[np.ix_(ring.idempotent_list, np.flatnonzero(ring.unit_flags))]] = True
+    return mask
 
 
 def regular_elements(ring):
@@ -77,31 +58,33 @@ def regular_elements(ring):
 
 
 def regular_witness(ring, a):
-    """Least inner inverse of a, upgraded to a reflexive one; None if a is not regular."""
+    """Reflexive inner inverse x*a*x of a, from its least inner inverse x:
+    a = a*y*a and y = y*a*y for y = x*a*x. None if a is not regular."""
     mask, least = regularity_table(ring)
     if not mask[a]:
         return None
     x = int(least[a])
-    x = ring.mul(ring.mul(x, a), x)  # xax satisfies both a=axa and x=xax
-    return RegularityWitness(element=int(a), inner_inverse=x, reflexive=True)
+    return ring.mul(ring.mul(x, a), x)
 
 
 def unit_regular_witness(ring, a):
     """Least unit u with a = a*u*a, or None."""
-    mask, least = unit_regularity_table(ring)
-    if not mask[a]:
+    if not unit_regularity_table(ring)[a]:
         return None
-    return int(least[a])
+    m, units = ring.mul_table, np.flatnonzero(ring.unit_flags)
+    return int(units[np.argmax(m[m[a, units], a] == a)])
 
 
 def special_clean_witnesses(ring, a):
     """All decompositions a = e + u with e idempotent, u a unit, aR meet eR = 0.
 
-    The unit is forced by the idempotent, so the list is ordered by
-    idempotent index; it is empty exactly when a is not special clean.
+    Such an e is a complement of a, aR (+) eR = R, because aR + eR holds the
+    unit u = a - e; so only the complements are scanned. The unit is forced by
+    the idempotent, so the list is ordered by idempotent index; it is empty
+    exactly when a is not special clean.
     """
     out = []
-    for e in summand_partners(ring, "right")[a][0]:
+    for e in summand_partners(ring, "right")[a]:
         u = ring.sub(a, e)
         if ring.unit_flags[u]:
             out.append(CleanDecomposition(element=int(a), idem=e, unit=u, special=True))
@@ -111,13 +94,14 @@ def special_clean_witnesses(ring, a):
 def is_clean(ring, a):
     """Least decomposition a = e + u without the disjointness requirement.
 
-    The `special` flag still records whether aR meet eR = 0 happened to hold,
-    so negative special-clean reports stay informative.
+    The `special` flag still records whether aR meet eR = 0 happened to hold
+    (with a - e a unit, that is whether e is a complement of a), so negative
+    special-clean reports stay informative.
     """
     for e in ring.idempotent_list:
         u = ring.sub(a, e)
         if ring.unit_flags[u]:
-            special = e in summand_partners(ring, "right")[a][0]
+            special = e in summand_partners(ring, "right")[a]
             return CleanDecomposition(element=int(a), idem=e, unit=u, special=special)
     return None
 
@@ -161,7 +145,7 @@ def classify_element(ring, a):
     special = special_clean_witnesses(ring, a)
     witnesses = {}
     if reg is not None:
-        witnesses["inner_inverse"] = reg.inner_inverse
+        witnesses["inner_inverse"] = reg
     if ureg is not None:
         witnesses["unit_inner_inverse"] = ureg
     if clean is not None:

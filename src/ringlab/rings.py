@@ -218,14 +218,14 @@ def bits(mask):
 
 
 def per_ring(fn):
-    """Memoise fn(ring, *args, **kwargs) in the ring's own memo, so each
-    result lives exactly as long as the ring it was computed for."""
+    """Memoise fn(ring, *args) in the ring's own memo, so each result lives
+    exactly as long as the ring it was computed for."""
 
     @functools.wraps(fn)
-    def wrapper(ring, *args, **kwargs):
-        key = (fn, args, tuple(kwargs.items()))
+    def wrapper(ring, *args):
+        key = (fn, args)
         if key not in ring._memo:
-            ring._memo[key] = fn(ring, *args, **kwargs)
+            ring._memo[key] = fn(ring, *args)
         return ring._memo[key]
 
     return wrapper
@@ -234,18 +234,15 @@ def per_ring(fn):
 @per_ring
 def summand_partners(ring, side):
     """For every element a, the idempotents e (in index order) with
-    aR meet eR = 0, and those with aR (+) eR = R; side="left" uses Ra and Re.
-
-    partners[a] = (disjoint, complements), computed once per principal ideal.
-    """
+    aR (+) eR = R, its complements; side="left" uses Ra and Re instead.
+    Computed once per principal ideal."""
     masks = ring.right_masks if side == "right" else ring.left_masks
     zero_mask = 1 << ring.zero
     by_ideal = {}
     for mask in set(masks):
-        disjoint = tuple(e for e in ring.idempotent_list if mask & masks[e] == zero_mask)
-        complements = tuple(e for e in disjoint
-                            if mask.bit_count() * masks[e].bit_count() == ring.size)
-        by_ideal[mask] = disjoint, complements
+        by_ideal[mask] = tuple(e for e in ring.idempotent_list
+                               if mask & masks[e] == zero_mask
+                               and mask.bit_count() * masks[e].bit_count() == ring.size)
     return tuple(by_ideal[mask] for mask in masks)
 
 

@@ -200,6 +200,30 @@ def idem_annihilator_scan(ring):
     return Verdict(verdict.holds, verdict.witness, verdict.checked, extra=extra)
 
 
+# -- unit-regularity and special cleanness by their definitions ------------------
+#
+# The tables that ringlab.elements.unit_regularity_table and
+# ringlab.classify.special_clean_flags replaced with theorem-backed reads
+# (a = e*u, and a special clean a has a complement as its idempotent).
+
+
+def unit_regularity_axa(ring):
+    """(mask, least_u) from the n x |U| table of a*u*a: which elements are
+    unit-regular, and the least unit u with a*u*a = a (-1 where none is)."""
+    m, column = ring.mul_table, np.arange(ring.size)[:, None]
+    units = np.flatnonzero(ring.unit_flags)
+    hits = m[m[:, units], column] == column
+    mask = hits.any(axis=1)
+    return mask, np.where(mask, units[hits.argmax(axis=1)], -1)
+
+
+def disjoint_special_clean_flags(ring):
+    """flags[a] = (a - e is a unit for some idempotent e with aR meet eR = 0)."""
+    masks, zero = ring.right_masks, 1 << ring.zero
+    return np.array([any(masks[a] & masks[e] == zero and ring.unit_flags[ring.sub(a, e)]
+                         for e in ring.idempotent_list) for a in ring.elements()], dtype=bool)
+
+
 # -- summand scans over the frozenset principal ideals ------------------------------
 #
 # Per-pair loops over the frozenset principal ideals, kept as references for

@@ -420,6 +420,28 @@ def test_cache_ignores_a_file_from_other_sources(tmp_path):
     assert ResultCache(path, version).get("Zn:6", "profile") is None
 
 
+@pytest.mark.parametrize("entries", [[1, 2], {"Zn:6||profile": "oops"}],
+                         ids=["entries-a-list", "entry-a-string"])
+def test_cache_ignores_malformed_entries(capsys, tmp_path, entries):
+    path = tmp_path / "cache.json"
+    version = __import__("ringlab").__version__
+    path.write_text(json.dumps({"version": version, "entries": entries,
+                                "fingerprint": ResultCache(path, version).fingerprint}))
+    code, out = run_cli(capsys, "classify", "--ring", "Zn:6", "--format", "json",
+                        "--cache", str(path))
+    assert code == 0
+    assert json.loads(out)["profiles"] == [ring_profile(parse_ring_spec("Zn:6"))]
+
+
+def test_an_unwritable_cache_path_is_a_usage_error(capsys, tmp_path):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    code = main(["classify", "--ring", "Zn:6", "--cache", str(blocker / "cache.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("ringlab: error:") and "Traceback" not in err
+
+
 def test_warm_verify_reads_tags_from_the_cached_profiles(monkeypatch, tmp_path):
     path = tmp_path / "cache.json"
     version = __import__("ringlab").__version__

@@ -20,6 +20,8 @@ from ringlab import (SUITE_NAMES, Verdict, default_catalog, direct_sum_cancellat
 from ringlab import classify
 from ringlab.classify import (PRODUCT_ARITY_BOUND, _first_failure, _product_levels,
                               special_clean_flags)
+from ringlab.cli import _hunt_candidates
+from ringlab.elements import unit_regularity_table
 from ringlab.rings import FiniteRing, make_opposite, summand_partners
 
 
@@ -137,7 +139,7 @@ def test_right_sided_scan_witness_matches_the_opposite_ring(spec):
     # first a without a complement, so this covers the right-sided witness path
     ring = parse_ring_spec(spec)
     pairs = unimodular_matrix(ring, "right")
-    verdict = classify._idem_condition_over_pairs(ring, pairs, side="right")
+    verdict = classify._completion_verdict(ring, pairs, "right")
     cells = [(a, b) for a in ring.elements() for b in ring.elements() if pairs[a, b]]
     assert verdict.holds is False
     assert verdict == oracles._idem_scan(make_opposite(ring), cells)
@@ -155,7 +157,7 @@ def test_commutative_right_sided_verdict_skips_the_opposite_ring(spec, monkeypat
     def no_scan(*_, **__):
         raise AssertionError("a commutative ring reuses its left-sided verdict")
 
-    monkeypatch.setattr(classify, "_idem_condition_over_pairs", no_scan)
+    monkeypatch.setattr(classify, "completion_table", no_scan)
     assert idem_condition_right_sided.__wrapped__(ring) == expected
 
 
@@ -506,7 +508,7 @@ def test_summand_partner_kernel_matches_frozenset_scan(spec):
                        ("left", ring.left_principal_sets)):
         partners = summand_partners(ring, side)
         for a in ring.elements():
-            assert tuple(map(list, partners[a])) == _frozenset_partners(ring, sets, a)
+            assert list(partners[a]) == _frozenset_partners(ring, sets, a)[1]
 
     flags = special_clean_flags(ring)
     for a in ring.elements():
@@ -523,6 +525,21 @@ def test_summand_partner_kernel_matches_frozenset_scan(spec):
             expected = next((e for e in left_complements
                              if ring.add(a, ring.mul(b, e)) in ring.units), None)
             assert right_sided_certificate(ring, a, b) == expected
+
+
+@pytest.mark.parametrize("spec", _hunt_candidates(128) + [
+    "op:T2:Zn:4", "T3:Zn:3", "T2:M2:Zn:2", "M2:T2:Zn:2", "op:M2:Zn:4"])
+def test_theorem_backed_masks_match_their_definitions(spec):
+    ring = parse_ring_spec(spec)
+    mask, least = oracles.unit_regularity_axa(ring)
+    assert np.array_equal(unit_regularity_table(ring), mask)
+    assert [unit_regular_witness(ring, a) for a in ring.elements()] == \
+        [None if u < 0 else u for u in least.tolist()]
+    assert np.array_equal(special_clean_flags(ring), oracles.disjoint_special_clean_flags(ring))
+    ring_profile(ring)
+    n = ring.size
+    assert not [v for v in ring._memo.values() if isinstance(v, np.ndarray)
+                and v.dtype.kind == "i" and v.shape == (n, n)]
 
 
 def test_ring_and_its_memo_are_freed_together():
