@@ -47,7 +47,7 @@ class ResultCache:
         try:
             with open(self.path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):
             return
         if not isinstance(data, dict):
             return
@@ -89,7 +89,7 @@ class ResultCache:
 
 
 class NullCache:
-    """Cache stand-in used by --no-cache and by worker processes."""
+    """Cache stand-in used by --no-cache and by the run_* calls given no cache."""
 
     def get(self, spec, operation):
         return None

@@ -62,7 +62,10 @@ def parse_ring_spec(s):
     ring = _RING_CACHE.get(s)
     if ring is not None:
         return ring
-    ring, end = _parse_spec(s, 0)
+    try:
+        ring, end = _parse_spec(s, 0)
+    except RecursionError:
+        raise SpecParseError("ring spec nested too deeply", s, 0) from None
     if end != len(s):
         raise SpecParseError("unexpected trailing text", s, end)
     _RING_CACHE[s] = ring
@@ -76,6 +79,8 @@ def parse_element(ring, text):
         obj = ast.literal_eval(text)
     except (ValueError, SyntaxError) as exc:
         raise LiteralParseError(f"cannot parse element literal {text!r}: {exc}") from exc
+    except (RecursionError, MemoryError):  # how the parser refuses very deep nesting
+        raise LiteralParseError(f"element literal {text!r} is nested too deeply") from None
     return element_from_obj(ring, obj)
 
 
@@ -143,7 +148,10 @@ def load_catalog(path):
     Raises ValueError naming the first malformed entry's index, or the first
     unknown tag, before any ring is built."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"catalog {path} is nested too deeply to read") from None
     if not isinstance(data, list):
         raise ValueError(f"catalog {path} must be a JSON list of entries")
     entries = []

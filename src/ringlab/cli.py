@@ -10,8 +10,11 @@ with ssp and ic, and a regular unimodular pair). All subcommands share
 from __future__ import annotations
 
 import argparse
+import ast
+import re
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
@@ -39,71 +42,43 @@ PROPERTY_GETTERS = {
 # -- property expressions for hunt ---------------------------------------------
 
 
+MAX_PROPERTY_DEPTH = 200  # Python's parser refuses more nested parentheses
+_BINARY_KINDS = {ast.BitAnd: "and", ast.BitOr: "or"}
+
+
 def parse_property_expr(text):
-    """Boolean grammar over {ssp, sip, ic, sr1, abelian} with !, &, | and parens."""
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "&|!()":
-            tokens.append(c)
-            i += 1
-        elif c.isalnum() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ValueError(f"unexpected character {c!r} in property expression")
-    pos = 0
+    """Boolean grammar over {ssp, sip, ic, sr1, abelian} with !, &, | and parens:
+    the precedence and left grouping of Python's ~, & and |, so Python parses it."""
+    bad = re.search(r"[^\sA-Za-z0-9_&|!()]", text)
+    if bad:
+        raise ValueError(f"unexpected character {bad.group()!r} in property expression")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a number run into a name ("1or") warns
+            tree = ast.parse(" ".join(text.split()).replace("!", "~"), mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"malformed property expression: {exc.msg}") from None
+    except (RecursionError, MemoryError):  # how the parser refuses very deep nesting
+        raise ValueError("malformed property expression: nested too deeply") from None
+    return _property_tree(tree.body, 1)
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
 
-    def take(expected=None):
-        nonlocal pos
-        tok = peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise ValueError(f"malformed property expression near token {pos}")
-        pos += 1
-        return tok
-
-    def parse_or():
-        node = parse_and()
-        while peek() == "|":
-            take()
-            node = ("or", node, parse_and())
-        return node
-
-    def parse_and():
-        node = parse_not()
-        while peek() == "&":
-            take()
-            node = ("and", node, parse_not())
-        return node
-
-    def parse_not():
-        if peek() == "!":
-            take()
-            return ("not", parse_not())
-        if peek() == "(":
-            take()
-            node = parse_or()
-            take(")")
-            return node
-        name = take()
-        if name not in PROPERTY_GETTERS:
-            raise ValueError(f"unknown property {name!r}; expected one of "
-                             f"{sorted(PROPERTY_GETTERS)}")
-        return ("var", name)
-
-    node = parse_or()
-    if pos != len(tokens):
-        raise ValueError("trailing tokens in property expression")
-    return node
+def _property_tree(node, depth):
+    """The tuple tree of a parsed expression; the depth bound keeps this walk
+    and eval_property_expr within the interpreter's recursion limit."""
+    if depth > MAX_PROPERTY_DEPTH:
+        raise ValueError(f"property expression nested deeper than {MAX_PROPERTY_DEPTH} levels")
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Invert):
+        return ("not", _property_tree(node.operand, depth + 1))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_KINDS:
+        return (_BINARY_KINDS[type(node.op)], _property_tree(node.left, depth + 1),
+                _property_tree(node.right, depth + 1))
+    if not isinstance(node, ast.Name):
+        raise ValueError("malformed property expression")
+    if node.id not in PROPERTY_GETTERS:
+        raise ValueError(f"unknown property {node.id!r}; expected one of "
+                         f"{sorted(PROPERTY_GETTERS)}")
+    return ("var", node.id)
 
 
 def eval_property_expr(node, ring, seen):

@@ -15,6 +15,7 @@ from ringlab.classify import (PRODUCT_ARITY_BOUND, SUITE_DESCRIPTIONS, SUITE_NAM
                               idem_condition_annihilator, idem_condition_right_sided,
                               idem_sr_condition, is_ic, is_ssp, product_regular_condition,
                               ring_unit_regular, special_clean_flags)
+from ringlab.cli import PROPERTY_GETTERS
 from ringlab.elements import regular_elements
 from ringlab.rings import FiniteRing, positions
 
@@ -598,3 +599,73 @@ def theorem_suite_by_cases(ring, which):
     report["equivalent"] = equivalent
     report["witnesses"] = witnesses
     return report
+
+
+# -- hunt's property expressions by a tokenizer and recursive descent ---------------------
+
+
+def property_expr_descent(text):
+    """Boolean grammar over {ssp, sip, ic, sr1, abelian} with !, &, | and parens."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "&|!()":
+            tokens.append(c)
+            i += 1
+        elif c.isalnum() or c == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+        else:
+            raise ValueError(f"unexpected character {c!r} in property expression")
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take(expected=None):
+        nonlocal pos
+        tok = peek()
+        if tok is None or (expected is not None and tok != expected):
+            raise ValueError(f"malformed property expression near token {pos}")
+        pos += 1
+        return tok
+
+    def parse_or():
+        node = parse_and()
+        while peek() == "|":
+            take()
+            node = ("or", node, parse_and())
+        return node
+
+    def parse_and():
+        node = parse_not()
+        while peek() == "&":
+            take()
+            node = ("and", node, parse_not())
+        return node
+
+    def parse_not():
+        if peek() == "!":
+            take()
+            return ("not", parse_not())
+        if peek() == "(":
+            take()
+            node = parse_or()
+            take(")")
+            return node
+        name = take()
+        if name not in PROPERTY_GETTERS:
+            raise ValueError(f"unknown property {name!r}; expected one of "
+                             f"{sorted(PROPERTY_GETTERS)}")
+        return ("var", name)
+
+    node = parse_or()
+    if pos != len(tokens):
+        raise ValueError("trailing tokens in property expression")
+    return node

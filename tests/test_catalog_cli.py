@@ -1,9 +1,12 @@
+import itertools
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,8 @@ from ringlab import (CapacityError, CatalogEntry, ConstructionAbort, SpecParseEr
                      make_zmod, parse_element, parse_ring_spec, ring_profile, rings,
                      solve_unimodular, verify_entry_tags)
 from ringlab.cache import ResultCache, default_cache_path
-from ringlab.cli import _hunt_candidates, main, parse_property_expr, run_hunt, run_verify
+from ringlab.cli import (PROPERTY_GETTERS, _hunt_candidates, main, parse_property_expr, run_hunt,
+                         run_verify)
 from ringlab.reports import strip_timing
 
 
@@ -153,6 +157,50 @@ def test_property_expression_rejects_junk():
         parse_property_expr("frobnitz")
     with pytest.raises(ValueError):
         parse_property_expr("ic |")
+
+
+def _tree_or_refusal(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+def _random_expression(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(sorted(PROPERTY_GETTERS))
+    if roll < 0.45:
+        return "!" + _random_expression(rng, depth - 1)
+    if roll < 0.6:
+        return "(" + _random_expression(rng, depth - 1) + ")"
+    space = rng.choice(["", " ", "\t", "\n"])
+    return (_random_expression(rng, depth - 1) + space + rng.choice("&|") + space
+            + _random_expression(rng, depth - 1))
+
+
+def test_property_parser_matches_recursive_descent():
+    tokens = ["ic", "ssp", "zorp", "1ic", "&", "|", "!", "(", ")", "~", " ", "\n"]
+    texts = ["".join(t) for k in range(5) for t in itertools.product(tokens, repeat=k)]
+    rng = random.Random(0)
+    junk = "ic&|!() \t\n~.,=1_x"
+    for _ in range(3000):
+        text = _random_expression(rng, 6)
+        if rng.random() < 0.5:  # one character deleted or replaced
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + rng.choice(["", rng.choice(junk)]) + text[at + 1:]
+        texts.append(text)
+    for text in texts:
+        assert _tree_or_refusal(parse_property_expr, text) == \
+            _tree_or_refusal(oracles.property_expr_descent, text), repr(text)
+
+
+def test_property_expressions_nest_at_most_200_levels():
+    assert parse_property_expr("!" * 199 + "ic")[0] == "not"
+    assert parse_property_expr("ic&" * 199 + "ic")[0] == "and"
+    for text in ("!" * 200 + "ic", "ic|" * 200 + "ic", "!(" * 200 + "ic" + ")" * 200):
+        with pytest.raises(ValueError, match="nested deeper than 200 levels"):
+            parse_property_expr(text)
 
 
 def test_hunt_finds_triangular_ring():
@@ -440,6 +488,48 @@ def test_an_unwritable_cache_path_is_a_usage_error(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("ringlab: error:") and "Traceback" not in err
+
+
+_DEEP_SPEC = "op:" * 1200 + "Zn:6"
+_DEEP_LITERAL = "-" * 5000 + "1"
+
+
+@pytest.mark.parametrize("argv, files, want", [
+    (["hunt", "--property", "1ic", "--max-size", "6"], {}, 2),
+    (["hunt", "--property", "ic&" * 4999 + "ic", "--max-size", "6"], {}, 2),
+    (["hunt", "--property", "ic&" * 990 + "ic", "--max-size", "6"], {}, 2),
+    (["hunt", "--property", "!" * 5000 + "ic", "--max-size", "6"], {}, 2),
+    (["hunt", "--property", "(" * 1200 + "ic" + ")" * 1200, "--max-size", "6"], {}, 2),
+    (["classify", "--ring", _DEEP_SPEC], {}, 2),
+    (["decompose", "--ring", "Zn:6", "--element=" + _DEEP_LITERAL], {}, 2),
+    (["decompose", "--ring", "Zn:6", "--element=" + "-" * 100_000 + "1"], {}, 2),
+    (["decompose", "--ring", "Zn:6", "--element", "3", "--b=" + _DEEP_LITERAL], {}, 2),
+    (["verify", "--catalog", "deep.json"], {"deep.json": "[" * 100_000 + "]" * 100_000}, 2),
+    (["verify", "--catalog", "spec.json"],
+     {"spec.json": json.dumps([{"spec": _DEEP_SPEC, "tags": []}])}, 2),
+    (["verify", "--catalog", "spec.json", "--jobs", "2"],
+     {"spec.json": json.dumps([{"spec": _DEEP_SPEC, "tags": []}])}, 2),
+    (["classify", "--ring", "Zn:6", "--cache", "cache.json"],
+     {"cache.json": '{"a":' * 50_000 + "1" + "}" * 50_000}, 0),
+], ids=["property-1ic", "property-chain-5000", "property-chain-991", "property-not-5000",
+        "property-parens-1200", "spec-op-1200", "element-minus-5000", "element-minus-100000",
+        "b-minus-5000", "catalog-arrays-100000", "catalog-spec-op-1200",
+        "catalog-spec-op-1200-jobs-2", "cache-objects-50000"])
+def test_deep_input_ends_without_a_traceback(argv, files, want, capsys, tmp_path):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    if "--cache" not in argv:
+        argv.append("--no-cache")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == want
+    err = capsys.readouterr().err
+    assert caught == []
+    if want == 0:
+        assert err == ""
+    else:
+        assert err.startswith("ringlab: error: ") and err.count("\n") == 1
 
 
 def test_warm_verify_reads_tags_from_the_cached_profiles(monkeypatch, tmp_path):
