@@ -26,7 +26,7 @@ from .classify import (SUITE_NAMES, has_stable_range_1, is_abelian, is_ic, is_si
 from .decompose import solve_unimodular, verify_trace
 from .errors import (CapacityError, ConstructionAbort, HypothesisViolation,
                      InvariantViolation, LiteralParseError, SpecParseError)
-from .reports import (decompose_rows, hunt_rows, profile_rows, render_csv,
+from .reports import (decompose_rows, hunt_rows, is_complete, profile_rows, render_csv,
                       render_json, render_table, suite_rows, tag_rows)
 from .rings import DEFAULT_SIZE_CAP
 
@@ -103,10 +103,17 @@ def _base_report(command):
             "command": list(command)}
 
 
+def _cached(cache, spec, operation):
+    """The cached entry, or None (a miss, so it is recomputed and overwritten)
+    when there is none or it lacks a key its report reads."""
+    entry = cache.get(spec, operation)
+    return entry if entry is not None and is_complete(entry, operation) else None
+
+
 def run_classify(spec, cache=None):
     cache = cache or NullCache()
     ring = parse_ring_spec(spec)
-    profile = cache.get(spec, "profile")
+    profile = _cached(cache, spec, "profile")
     if profile is None:
         profile = ring_profile(ring)
         cache.put(spec, "profile", profile)
@@ -166,8 +173,8 @@ def run_verify(suite, entries=None, cache=None, jobs=1):
     results = {}  # spec -> (profile JSON, {suite name: report})
     needed = []
     for entry in entries:
-        profile = cache.get(entry.spec, "profile")
-        reports = {name: cache.get(entry.spec, f"suite:{name}") for name in suites}
+        profile = _cached(cache, entry.spec, "profile")
+        reports = {name: _cached(cache, entry.spec, f"suite:{name}") for name in suites}
         if profile is None or None in reports.values():
             needed.append((entry.spec, tuple(suites)))
         else:

@@ -29,15 +29,23 @@ class CleanDecomposition:
                 "unit": self.unit, "special": self.special}
 
 
+_BLOCK_CELLS = 1 << 20  # a*x*a cells read per block of rows a
+
+
 @per_ring
 def regularity_table(ring):
     """(mask, least_x): which elements are regular, with least inner inverse.
-    The n x n table of a*x*a is a temporary; only the two arrays are kept."""
-    m = ring.mul_table
-    column = np.arange(ring.size)[:, None]
-    hits = m[m, column] == column  # hits[a, x] = (a*x*a == a)
-    mask = hits.any(axis=1)
-    least = np.where(mask, hits.argmax(axis=1), -1)
+    a*x*a is read for a block of rows a at a time, as one flat take of the
+    cells (a*x)*n + a of the multiplication table; only the two arrays are kept."""
+    m, n = ring.mul_table, ring.size
+    mask = np.empty(n, dtype=bool)
+    least = np.empty(n, dtype=np.intp)
+    rows = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, n, rows):
+        a = np.arange(lo, min(lo + rows, n))[:, None]
+        hits = m.ravel().take(m[lo:lo + rows] * n + a) == a  # hits[a, x] = (a*x*a == a)
+        mask[lo:lo + rows] = hits.any(axis=1)
+        least[lo:lo + rows] = np.where(mask[lo:lo + rows], hits.argmax(axis=1), -1)
     return mask, least
 
 

@@ -53,11 +53,25 @@ def _fmt(v):
     return v
 
 
+PROFILE_VERDICTS = ("ssp", "sip", "ic", "abelian", "sr1",
+                    "idem_sr_condition", "product_regular_condition")
+
+
+def is_complete(entry, operation):
+    """Whether a profile or suite:<name> entry holds every key that its rows
+    and the catalog's tag check read."""
+    if operation == "profile":
+        return ({"ring", "unit_regular"} <= entry.keys()
+                and all(isinstance(entry.get(p), dict) and "holds" in entry[p]
+                        for p in PROFILE_VERDICTS))
+    return ({"ring", "result", "equivalent", "witnesses"} <= entry.keys()
+            and isinstance(entry.get("conditions"), dict))
+
+
 def profile_rows(profile_json):
     rows = []
     ring = profile_json["ring"]
-    for prop in ("ssp", "sip", "ic", "abelian", "sr1",
-                 "idem_sr_condition", "product_regular_condition"):
+    for prop in PROFILE_VERDICTS:
         v = profile_json[prop]
         rows.append([ring, prop, _fmt(v["holds"]), v.get("checked", 0),
                      json.dumps(v.get("witness")) if v.get("witness") else ""])

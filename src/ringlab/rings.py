@@ -6,7 +6,9 @@ Constructors cover modular rings, full and upper-triangular matrix rings,
 finite products, and opposite rings; each records a canonical spec string
 so results are reproducible and reports self-describing. The element
 ordering of matrix shapes and products is the mixed-radix one that encode
-and decode define; every table and element literal is built through them.
+and decode define. Matrix-shape tables and element literals are built
+through them; a product's tables are its factors' tables, broadcast and
+summed with their place weights.
 """
 
 from __future__ import annotations
@@ -352,11 +354,21 @@ def make_product(factors):
     radices = [f.size for f in factors]
     size = math.prod(radices)
     check_cap(size)
-    comps = decode(radices, np.arange(size, dtype=np.int32))
-    add = encode(radices, (f.add_table[np.ix_(c, c)] for f, c in zip(factors, comps)))
-    mul = encode(radices, (f.mul_table[np.ix_(c, c)] for f, c in zip(factors, comps)))
-    spec = "prod:" + "+".join(f.spec for f in factors)
-    return FiniteRing(spec=spec, add_table=add, mul_table=mul, zero=0,
+    k = len(factors)
+
+    def weighted_sum(tables):
+        # factor i's table, times its place weight, sits on axes (i, k+i) of
+        # an array indexed by the digits of both operands
+        out = np.zeros(radices * 2, dtype=np.int32)
+        for i, t in enumerate(tables):
+            axes = [1] * (2 * k)
+            axes[i] = axes[k + i] = radices[i]
+            out += (t * math.prod(radices[i + 1:])).reshape(axes)
+        return out.reshape(size, size)
+
+    return FiniteRing(spec="prod:" + "+".join(f.spec for f in factors),
+                      add_table=weighted_sum([f.add_table for f in factors]),
+                      mul_table=weighted_sum([f.mul_table for f in factors]), zero=0,
                       one=encode(radices, [f.one for f in factors]),
                       form=("product", tuple(factors)))
 

@@ -201,11 +201,23 @@ def idem_annihilator_scan(ring):
     return Verdict(verdict.holds, verdict.witness, verdict.checked, extra=extra)
 
 
-# -- unit-regularity and special cleanness by their definitions ------------------
+# -- regularity, unit-regularity and special cleanness by their definitions ------
 #
 # The tables that ringlab.elements.unit_regularity_table and
 # ringlab.classify.special_clean_flags replaced with theorem-backed reads
-# (a = e*u, and a special clean a has a complement as its idempotent).
+# (a = e*u, and a special clean a has a complement as its idempotent), and the
+# whole-table gather that ringlab.elements.regularity_table reads in blocks.
+
+
+def regularity_by_axa_gather(ring):
+    """(mask, least_x) from the n x n table of a*x*a, gathered with two index
+    arrays at once: which elements are regular, and the least x with
+    a*x*a = a (-1 where none is)."""
+    m = ring.mul_table
+    column = np.arange(ring.size)[:, None]
+    hits = m[m, column] == column  # hits[a, x] = (a*x*a == a)
+    mask = hits.any(axis=1)
+    return mask, np.where(mask, hits.argmax(axis=1), -1)
 
 
 def unit_regularity_axa(ring):

@@ -15,7 +15,7 @@ import oracles
 from ringlab import (CapacityError, CatalogEntry, ConstructionAbort, SpecParseError, catalog,
                      default_catalog, format_element, load_catalog, make_matrix_ring,
                      make_zmod, parse_element, parse_ring_spec, ring_profile, rings,
-                     solve_unimodular, verify_entry_tags)
+                     solve_unimodular, theorem_suite, verify_entry_tags)
 from ringlab.cache import ResultCache, default_cache_path
 from ringlab.cli import (PROPERTY_GETTERS, _hunt_candidates, main, parse_property_expr, run_hunt,
                          run_verify)
@@ -208,6 +208,16 @@ def test_hunt_finds_triangular_ring():
     specs = [m["spec"] for m in report["matches"]]
     assert "T2:Zn:3" in specs
     assert all(parse_ring_spec(s).size <= 27 for s in specs)
+
+
+def test_hunt_up_to_128_finds_the_known_separating_rings():
+    # 200 of the 336 candidates are products, so this also pins make_product
+    ic_not_ssp = {"ic": True, "ssp": False}
+    assert run_hunt("ic&!ssp", 128) == {
+        "property": "ic&!ssp", "max_size": 128, "candidates_examined": 336,
+        "matches": [{"spec": spec, "size": size, "properties": ic_not_ssp}
+                    for spec, size in (("T2:Zn:3", 27), ("op:T2:Zn:3", 27), ("T2:Zn:2", 8),
+                                       ("T2:Zn:4", 64), ("T2:Zn:5", 125), ("T3:Zn:2", 64))]}
 
 
 @pytest.mark.parametrize("max_size", [0, 1, 5, 6, 16, 64, 81, 256, 257, 1000])
@@ -479,6 +489,43 @@ def test_cache_ignores_malformed_entries(capsys, tmp_path, entries):
                         "--cache", str(path))
     assert code == 0
     assert json.loads(out)["profiles"] == [ring_profile(parse_ring_spec("Zn:6"))]
+
+
+def _profile_without(key):
+    profile = ring_profile(parse_ring_spec("Zn:6"))
+    return {k: v for k, v in profile.items() if k != key}
+
+
+@pytest.mark.parametrize("argv, key, entry", [
+    (["classify", "--ring", "Zn:6"], "Zn:6||profile", {}),
+    (["classify", "--ring", "Zn:6"], "Zn:6||profile", _profile_without("ring")),
+    (["classify", "--ring", "Zn:6"], "Zn:6||profile",
+     dict(_profile_without("ssp"), ssp={"checked": 4})),
+    (["verify", "--suite", "C2.6"], "Zn:6||profile", _profile_without("unit_regular")),
+    (["verify", "--suite", "C2.6"], "M2:Zn:2||suite:C2.6", {"ring": "M2:Zn:2"}),
+], ids=["profile-empty", "profile-no-ring", "profile-verdict-no-holds",
+        "profile-no-unit-regular", "suite-no-conditions"])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_an_incomplete_cache_entry_is_recomputed(argv, key, entry, fmt, capsys, tmp_path):
+    path = tmp_path / "cache.json"
+    version = __import__("ringlab").__version__
+    assert main([*argv, "--cache", str(path)]) == 0  # every other entry stays complete
+    capsys.readouterr()
+    payload = json.loads(path.read_text())
+    payload["entries"][key] = entry
+    path.write_text(json.dumps(payload))
+    want_code, want = run_cli(capsys, *argv, "--format", fmt, "--no-cache")
+    code, out = run_cli(capsys, *argv, "--format", fmt, "--cache", str(path))
+    assert code == want_code == 0
+    if fmt == "json":
+        out, want = strip_timing(json.loads(out)), strip_timing(json.loads(want))
+        assert out["command"][-2:] == ["--cache", str(path)]
+        out["command"], want["command"] = out["command"][:-2], want["command"][:-1]
+    assert out == want
+    spec, operation = key.split("||")
+    ring = parse_ring_spec(spec)
+    fresh = ring_profile(ring) if operation == "profile" else theorem_suite(ring, "C2.6")
+    assert ResultCache(path, version).get(spec, operation) == json.loads(json.dumps(fresh))
 
 
 def test_an_unwritable_cache_path_is_a_usage_error(capsys, tmp_path):

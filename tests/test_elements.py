@@ -1,13 +1,16 @@
 import json
 
+import numpy as np
 import pytest
 
 import oracles
 from ringlab import (CleanDecomposition, HypothesisViolation, InvariantViolation,
                      classify_element, is_clean, make_zmod,
-                     parse_element, regular_elements, regular_witness,
+                     parse_element, parse_ring_spec, regular_elements, regular_witness,
                      special_clean_witnesses, unit_inverse_from_special_clean,
                      unit_regular_witness)
+from ringlab.cli import _hunt_candidates
+from ringlab.elements import regularity_table
 
 
 def test_regular_witness_zero(z6):
@@ -31,6 +34,21 @@ def test_regular_witness_is_reflexive_everywhere(catalog_rings):
             x = regular_witness(ring, a)
             assert ring.mul(ring.mul(a, x), a) == a
             assert ring.mul(ring.mul(x, a), x) == x
+
+
+@pytest.mark.parametrize("spec", _hunt_candidates(64) + [
+    "op:T2:Zn:4", "T3:Zn:3", "M2:T2:Zn:2", "Zn:1"])
+def test_blocked_regularity_table_matches_the_whole_gather(spec, monkeypatch):
+    ring = parse_ring_spec(spec)
+    want_mask, want_least = oracles.regularity_by_axa_gather(ring)
+    mask, least = regularity_table(ring)
+    assert np.array_equal(mask, want_mask)
+    assert (least.dtype, least.tolist()) == (want_least.dtype, want_least.tolist())
+    # blocks of 7 rows, so that most rings end in a shorter block
+    monkeypatch.setattr("ringlab.elements._BLOCK_CELLS", 7 * ring.size)
+    mask, least = regularity_table.__wrapped__(ring)
+    assert np.array_equal(mask, want_mask)
+    assert (least.dtype, least.tolist()) == (want_least.dtype, want_least.tolist())
 
 
 def test_unit_regular_witness_of_one(z6):

@@ -195,14 +195,20 @@ def test_product_single_factor_is_identity(z6):
     assert np.array_equal(prod.mul_table, z6.mul_table)
 
 
-@pytest.mark.parametrize("spec", ["prod:Zn:2+Zn:3", "prod:Zn:2+Zn:3+Zn:5",
-                                  "prod:Zn:4+M2:Zn:2", "prod:Zn:64+Zn:64"])
+@pytest.mark.parametrize("spec", [
+    "prod:Zn:2+Zn:3", "prod:Zn:2+Zn:3+Zn:5", "prod:Zn:4+M2:Zn:2", "prod:Zn:64+Zn:64",
+    "prod:Zn:4+Zn:60", "prod:Zn:32+Zn:32", "prod:Zn:16+Zn:256", "prod:Zn:8+Zn:8+Zn:8",
+    "prod:Zn:2+Zn:3+Zn:5+Zn:7", "prod:T2:Zn:2+op:T2:Zn:3", "prod:Zn:1+Zn:6",
+    "prod:Zn:6+Zn:1+Zn:2"])
 def test_product_tables_match_the_weighted_sums(spec):
     ring = parse_ring_spec(spec)
     want = oracles.product_tables_by_weights(list(ring.form[1]))
     assert same_table(ring.add_table, want.add_table)
     assert same_table(ring.mul_table, want.mul_table)
     assert ring.one == want.one
+    for table in (ring.add_table, ring.mul_table):
+        assert table.dtype == np.int32
+        assert table.flags.c_contiguous and not table.flags.writeable
 
 
 def test_product_z2_z2_has_4_idempotents():
