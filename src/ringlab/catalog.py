@@ -2,8 +2,9 @@
 
 Spec strings: ``Zn:<n>`` | ``M<k>:<spec>`` | ``T<k>:<spec>`` |
 ``prod:<spec>+<spec>[+...]`` | ``op:<spec>``. A ring is reused for its spec
-string while it is alive. Catalog entries carry expected-property tags that
-are always checked against the cached or freshly computed profile.
+string while it is alive, and so is a ``Zn:<n>`` inside a spec. Catalog
+entries carry expected-property tags that are always checked against the
+cached or freshly computed profile.
 """
 
 from __future__ import annotations
@@ -34,7 +35,10 @@ def _parse_int(s, pos):
 def _parse_spec(s, pos):
     if s.startswith("Zn:", pos):
         n, end = _parse_int(s, pos + 3)
-        return make_zmod(n), end
+        ring = _RING_CACHE.get(f"Zn:{n}")
+        if ring is None:  # so a live factor is shared by the products that name it
+            ring = _RING_CACHE[f"Zn:{n}"] = make_zmod(n)
+        return ring, end
     if s.startswith("op:", pos):
         base, end = _parse_spec(s, pos + 3)
         return make_opposite(base), end

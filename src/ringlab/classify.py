@@ -14,7 +14,8 @@ import numpy as np
 
 from .elements import regular_elements, regularity_table, unit_regularity_table
 from .ideals import summands_isomorphic
-from .rings import bits, membership, per_ring, row_bitsets, summand_partners
+from .rings import (bits, factor_sum, from_factors, membership, per_ring, row_bitsets,
+                    summand_partners)
 
 SUITE_NAMES = ("T2.4", "T2.9", "C2.10", "R2.5", "C2.6", "L2.3")
 
@@ -168,7 +169,7 @@ def is_ssp(ring):
     is regular: one read of the regularity table per pair.
     """
     E = np.array(ring.idempotent_list, dtype=np.intp)
-    P = ring.mul_table[np.ix_(ring.add_table[ring.one, ring.neg_table[E]], E)]
+    P = _complement_products(ring)
     regular, _ = regularity_table(ring)
 
     def witness(i, j):
@@ -178,6 +179,17 @@ def is_ssp(ring):
 
     ok = regular[P]
     return _table_verdict(np.ones_like(ok), ok, witness)
+
+
+def _complement_products(ring):
+    """P[i, j] = (1-e)f for the i-th and j-th idempotents e, f. A product's P
+    is its factors' P tables, combined as factor_sum combines tables. Not
+    memoised: on a Boolean ring it is an n x n int table."""
+    if from_factors(ring):
+        factors = ring.form[1]
+        return factor_sum(factors, [_complement_products(f) for f in factors])
+    E = np.array(ring.idempotent_list, dtype=np.intp)
+    return ring.mul_table[np.ix_(ring.add_table[ring.one, ring.neg_table[E]], E)]
 
 
 @per_ring

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolation, InvariantViolation
-from .rings import per_ring, summand_partners
+from .rings import factor_all, factor_sum, from_factors, per_ring, summand_partners
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,14 @@ _BLOCK_CELLS = 1 << 20  # a*x*a cells read per block of rows a
 def regularity_table(ring):
     """(mask, least_x): which elements are regular, with least inner inverse.
     a*x*a is read for a block of rows a at a time, as one flat take of the
-    cells (a*x)*n + a of the multiplication table; only the two arrays are kept."""
+    cells (a*x)*n + a of the multiplication table; only the two arrays are kept.
+    In a product an element is regular iff each component is, and its least
+    inner inverse is the tuple of the components' least ones."""
+    if from_factors(ring):
+        factors = ring.form[1]
+        tables = [regularity_table(f) for f in factors]
+        mask = factor_all([mask for mask, _ in tables])
+        return mask, np.where(mask, factor_sum(factors, [least for _, least in tables]), -1)
     m, n = ring.mul_table, ring.size
     mask = np.empty(n, dtype=bool)
     least = np.empty(n, dtype=np.intp)
@@ -53,7 +60,10 @@ def regularity_table(ring):
 def unit_regularity_table(ring):
     """Which elements are unit-regular: a is unit-regular iff a = e*u for an
     idempotent e and a unit u (a = a*v*a gives e = a*v and a = e*v^-1; a = e*u
-    gives a*u^-1*a = a), so the mask marks the products of E x U."""
+    gives a*u^-1*a = a), so the mask marks the products of E x U. In a product
+    an element is unit-regular iff each component is."""
+    if from_factors(ring):
+        return factor_all([unit_regularity_table(f) for f in ring.form[1]])
     mask = np.zeros(ring.size, dtype=bool)
     mask[ring.mul_table[np.ix_(ring.idempotent_list, np.flatnonzero(ring.unit_flags))]] = True
     return mask

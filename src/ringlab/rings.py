@@ -7,8 +7,11 @@ finite products, and opposite rings; each records a canonical spec string
 so results are reproducible and reports self-describing. The element
 ordering of matrix shapes and products is the mixed-radix one that encode
 and decode define. Matrix-shape tables and element literals are built
-through them; a product's tables are its factors' tables, broadcast and
-summed with their place weights.
+through them. A product's two tables, the factors' tables broadcast and
+summed with their place weights, are built only when something first reads
+them, and a product of more than FROM_FACTORS_ABOVE elements answers from its
+factors: its negation, units, idempotents and regularity arrays are the
+factors' arrays broadcast against one another in that order.
 """
 
 from __future__ import annotations
@@ -24,6 +27,12 @@ from .errors import CapacityError, LiteralParseError
 
 DEFAULT_SIZE_CAP = 4096
 
+# A product derives its arrays from its factors' arrays only above this size.
+# On smaller ones computing every factor's arrays costs more than scanning the
+# product's own tables: per product, `ic` and `ssp` alone broke even near 64
+# elements, and with the tables read as well near 128.
+FROM_FACTORS_ABOVE = 64
+
 
 @dataclass(eq=False)
 class FiniteRing:
@@ -34,8 +43,10 @@ class FiniteRing:
     """
 
     spec: str
-    add_table: np.ndarray
-    mul_table: np.ndarray
+    # a product may pass None for both tables: they are then built on first
+    # read, by __getattr__ (see factor_sum)
+    add_table: np.ndarray = field(repr=False)
+    mul_table: np.ndarray = field(repr=False)
     zero: int
     one: int
     # construction descriptor, e.g. ("zmod", 6) or ("matrix", 2, base_ring);
@@ -45,16 +56,28 @@ class FiniteRing:
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.add_table = np.ascontiguousarray(self.add_table, dtype=np.int32)
-        self.mul_table = np.ascontiguousarray(self.mul_table, dtype=np.int32)
-        self.add_table.setflags(write=False)
-        self.mul_table.setflags(write=False)
+        for name in ("add_table", "mul_table"):
+            if getattr(self, name) is None:
+                delattr(self, name)  # left for __getattr__
+            else:
+                setattr(self, name, _frozen_table(getattr(self, name)))
+
+    def __getattr__(self, name):
+        # called only for a missing attribute: a product's unbuilt table
+        if name not in ("add_table", "mul_table"):
+            raise AttributeError(name)
+        factors = self.form[1]
+        table = _frozen_table(factor_sum(factors, [getattr(f, name) for f in factors]))
+        setattr(self, name, table)
+        return table
+
+    @cached_property
+    def size(self):
+        if self.form[0] == "product":
+            return math.prod(f.size for f in self.form[1])
+        return int(self.add_table.shape[0])
 
     # -- scalar arithmetic on element indices ------------------------------
-
-    @property
-    def size(self):
-        return int(self.add_table.shape[0])
 
     def add(self, i, j):
         return int(self.add_table[i, j])
@@ -80,7 +103,11 @@ class FiniteRing:
 
     @cached_property
     def neg_table(self):
-        neg = np.argmax(self.add_table == self.zero, axis=1).astype(np.int32)
+        if from_factors(self):
+            factors = self.form[1]
+            neg = factor_sum(factors, [f.neg_table for f in factors])
+        else:
+            neg = np.argmax(self.add_table == self.zero, axis=1).astype(np.int32)
         neg.setflags(write=False)
         return neg
 
@@ -90,9 +117,16 @@ class FiniteRing:
     def unit_inverse(self) -> np.ndarray:
         """unit_inverse[u] = the two-sided inverse of u, or -1 when u is not a
         unit: the representation of the units every command path reads."""
-        hits = self.mul_table == self.one
-        two_sided = hits & hits.T
-        inverse = np.where(two_sided.any(axis=1), two_sided.argmax(axis=1), -1).astype(np.int32)
+        if from_factors(self):
+            factors = self.form[1]
+            inverse = np.where(factor_all([f.unit_flags for f in factors]),
+                               factor_sum(factors, [f.unit_inverse for f in factors]), -1)
+        else:
+            hits = self.mul_table == self.one
+            if self.form[0] != "zmod":  # Z/n is commutative, so hits is symmetric
+                hits = hits & hits.T
+            inverse = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
+        inverse = inverse.astype(np.int32)
         inverse.setflags(write=False)
         return inverse
 
@@ -110,6 +144,10 @@ class FiniteRing:
 
     @cached_property
     def idempotent_list(self):
+        if from_factors(self):  # ascending, as encode's order is lexicographic
+            factors = self.form[1]
+            return tuple(factor_sum(factors, [np.array(f.idempotent_list)
+                                              for f in factors]).tolist())
         diag = self.mul_table[np.arange(self.size), np.arange(self.size)]
         return tuple(int(e) for e in np.flatnonzero(diag == np.arange(self.size)))
 
@@ -191,6 +229,44 @@ class FiniteRing:
             if not np.array_equal(m[a[i]], a[m[i][None, :], m]):
                 raise ValueError(f"right distributivity fails (row {i})")
         return True
+
+
+def _frozen_table(table):
+    table = np.ascontiguousarray(table, dtype=np.int32)
+    table.setflags(write=False)
+    return table
+
+
+def _outer(ufunc, arrays):
+    """ufunc over arrays broadcast against one another, one per factor of a
+    product: array i of k sits on axes (i, k+i, ...), one axis per dimension,
+    so each dimension of the result, flattened, runs over the factors' digit
+    tuples in encode's order."""
+    k, d = len(arrays), arrays[0].ndim
+    placed = []
+    for i, a in enumerate(arrays):
+        shape = [1] * (k * d)
+        shape[i::k] = a.shape
+        placed.append(a.reshape(shape))
+    out = functools.reduce(ufunc, placed)
+    return out.reshape([math.prod(out.shape[c * k:(c + 1) * k]) for c in range(d)])
+
+
+def from_factors(ring):
+    """Whether ring's derived arrays come from its factors' arrays."""
+    return ring.form[0] == "product" and ring.size > FROM_FACTORS_ABOVE
+
+
+def factor_sum(factors, arrays):
+    """The product's array whose entries are the element indices with digits
+    arrays[i]: each factor's array times its place weight, summed by _outer."""
+    sizes = [f.size for f in factors]
+    return _outer(np.add, [a * math.prod(sizes[i + 1:]) for i, a in enumerate(arrays)])
+
+
+def factor_all(masks):
+    """The product's mask that holds where every factor's mask holds."""
+    return _outer(np.logical_and, masks)
 
 
 def membership(rows, size):
@@ -285,8 +361,9 @@ def make_zmod(n):
         raise ValueError(f"modulus must be at least 1 (got {n})")
     check_cap(n)
     r = np.arange(n, dtype=np.int32)
-    add = np.add.outer(r, r)
-    add %= n
+    # the circulant: row i is rr[i:i+n] = (i + j) mod n, a strided view of rr
+    rr = np.concatenate((r, r))
+    add = np.ndarray((n, n), dtype=np.int32, buffer=rr, strides=(rr.itemsize, rr.itemsize))
     mul = np.multiply.outer(r, r)
     mul %= n
     return FiniteRing(spec=f"Zn:{n}", add_table=add, mul_table=mul,
@@ -348,27 +425,13 @@ def make_triangular_ring(k, base):
 
 def make_product(factors):
     """Componentwise product of the given rings, the first factor most
-    significant."""
+    significant. Its tables are built on first read."""
     if not factors:
         raise ValueError("product needs at least one factor")
     radices = [f.size for f in factors]
-    size = math.prod(radices)
-    check_cap(size)
-    k = len(factors)
-
-    def weighted_sum(tables):
-        # factor i's table, times its place weight, sits on axes (i, k+i) of
-        # an array indexed by the digits of both operands
-        out = np.zeros(radices * 2, dtype=np.int32)
-        for i, t in enumerate(tables):
-            axes = [1] * (2 * k)
-            axes[i] = axes[k + i] = radices[i]
-            out += (t * math.prod(radices[i + 1:])).reshape(axes)
-        return out.reshape(size, size)
-
+    check_cap(math.prod(radices))
     return FiniteRing(spec="prod:" + "+".join(f.spec for f in factors),
-                      add_table=weighted_sum([f.add_table for f in factors]),
-                      mul_table=weighted_sum([f.mul_table for f in factors]), zero=0,
+                      add_table=None, mul_table=None, zero=0,
                       one=encode(radices, [f.one for f in factors]),
                       form=("product", tuple(factors)))
 

@@ -409,6 +409,47 @@ def product_tables_by_weights(factors):
                       zero=0, one=int(one), form=("product", tuple(factors)))
 
 
+# -- derived arrays from the whole tables ---------------------------------------------
+#
+# How FiniteRing and ringlab.elements derive each array from a ring's two
+# tables, kept as the reference for a product, which derives them from its
+# factors' arrays instead. The regular mask and least inner inverse have
+# regularity_by_axa_gather above.
+
+
+def neg_by_table(ring):
+    """neg[a] = the x with a + x = 0, from the addition table."""
+    return np.argmax(ring.add_table == ring.zero, axis=1).astype(np.int32)
+
+
+def unit_inverse_by_table(ring):
+    """inverse[u] = the v with u*v = v*u = 1, or -1, from the whole table."""
+    hits = ring.mul_table == ring.one
+    two_sided = hits & hits.T
+    return np.where(two_sided.any(axis=1), two_sided.argmax(axis=1), -1).astype(np.int32)
+
+
+def idempotents_by_diagonal(ring):
+    """The a with a*a = a, ascending, from the table's diagonal."""
+    rng = np.arange(ring.size)
+    return tuple(int(e) for e in np.flatnonzero(ring.mul_table[rng, rng] == rng))
+
+
+def unit_regularity_by_products(ring):
+    """mask[a] = (a = e*u for an idempotent e and a unit u), from the E x U
+    block of the table."""
+    mask = np.zeros(ring.size, dtype=bool)
+    units = np.flatnonzero(unit_inverse_by_table(ring) >= 0)
+    mask[ring.mul_table[np.ix_(idempotents_by_diagonal(ring), units)]] = True
+    return mask
+
+
+def complement_products_by_gather(ring):
+    """P[i, j] = (1-e)f for the i-th and j-th idempotents e, f."""
+    E = np.array(idempotents_by_diagonal(ring), dtype=np.intp)
+    return ring.mul_table[np.ix_(ring.add_table[ring.one, neg_by_table(ring)[E]], E)]
+
+
 # -- unit inverses, additive closure and hunt candidates -----------------------------
 
 

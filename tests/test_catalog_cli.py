@@ -7,6 +7,7 @@ import subprocess
 import sys
 import types
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -76,18 +77,28 @@ def test_matrix_shape_size_is_checked_before_its_cells_are_listed(monkeypatch, c
     assert "ringlab: error:" in capsys.readouterr().err
 
 
+class _StandIn(types.SimpleNamespace):
+    """A ring stand-in that the weak ring cache can hold."""
+
+
 def test_product_spec_builds_no_factor_past_the_cap(monkeypatch):
     built = []
 
     def sized_stand_in(n):
         # only the size is read before the cap check, so no table is made
         built.append(n)
-        return types.SimpleNamespace(size=n, spec=f"Zn:{n}")
+        return _StandIn(size=n, spec=f"Zn:{n}")
 
+    # a cache of its own, so no stand-in outlives the test in the real one
+    monkeypatch.setattr(catalog, "_RING_CACHE", weakref.WeakValueDictionary())
     monkeypatch.setattr(catalog, "make_zmod", sized_stand_in)
     with pytest.raises(CapacityError):
+        parse_ring_spec("prod:Zn:4096+Zn:4095+Zn:4094")
+    assert built == [4096, 4095]
+    built.clear()
+    with pytest.raises(CapacityError):  # the live first factor serves the second
         parse_ring_spec("prod:Zn:4096+Zn:4096+Zn:4096")
-    assert built == [4096, 4096]
+    assert built == [4096]
 
 
 @pytest.mark.parametrize("ring, element", [("M2:Zn:2", "[1,2]"), ("prod:Zn:2+Zn:3", "5"),

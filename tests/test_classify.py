@@ -17,12 +17,13 @@ from ringlab import (SUITE_NAMES, Verdict, default_catalog, direct_sum_cancellat
                      regular_elements, ring_profile, right_sided_certificate,
                      special_clean_witnesses, summand_idempotent, theorem_suite,
                      unimodular_matrix, unit_regular_witness)
-from ringlab import classify
+from ringlab import catalog, classify, rings
 from ringlab.classify import (PRODUCT_ARITY_BOUND, _first_failure, _product_levels,
                               special_clean_flags)
-from ringlab.cli import _hunt_candidates
-from ringlab.elements import unit_regularity_table
-from ringlab.rings import FiniteRing, make_opposite, summand_partners
+from ringlab.cli import _hunt_candidates, run_hunt
+from ringlab.elements import regularity_table, unit_regularity_table
+from ringlab.rings import (FiniteRing, from_factors, make_opposite, make_product,
+                           summand_partners)
 
 
 # -- individual predicates -------------------------------------------------------
@@ -553,3 +554,76 @@ def test_ring_and_its_memo_are_freed_together():
     del ring
     gc.collect()
     assert ref() is None
+
+
+# -- products answered from their factors ----------------------------------------------
+
+MULTI_FACTOR_PRODUCTS = [
+    "prod:Zn:2+Zn:3+Zn:4", "prod:Zn:2+Zn:2+Zn:2+Zn:2", "prod:M2:Zn:2+T2:Zn:2+Zn:3",
+    "prod:op:T2:Zn:3+Zn:1+M2:Zn:2", "prod:Zn:1+T2:Zn:2+op:T2:Zn:2+Zn:2",
+    "prod:T2:Zn:3+Zn:4+op:T2:Zn:2", "prod:Zn:1", "prod:Zn:1+Zn:1", "prod:Zn:5+Zn:1"]
+
+
+def same_array(got, want):
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("spec", [s for s in _hunt_candidates(256) if s.startswith("prod:")]
+                         + MULTI_FACTOR_PRODUCTS)
+def test_product_arrays_match_their_whole_table_oracles(spec, monkeypatch):
+    monkeypatch.setattr(rings, "FROM_FACTORS_ABOVE", 0)  # every product, however small
+    ring = make_product(list(parse_ring_spec(spec).form[1]))  # a fresh memo
+    assert from_factors(ring)
+    neg, inverse, idempotents = ring.neg_table, ring.unit_inverse, ring.idempotent_list
+    (mask, least), unit_regular = regularity_table(ring), unit_regularity_table(ring)
+    P = classify._complement_products(ring)
+    assert "add_table" not in vars(ring) and "mul_table" not in vars(ring)
+    want_mask, want_least = oracles.regularity_by_axa_gather(ring)
+    assert same_array(neg, oracles.neg_by_table(ring))
+    assert same_array(inverse, oracles.unit_inverse_by_table(ring))
+    assert idempotents == oracles.idempotents_by_diagonal(ring)
+    assert same_array(mask, want_mask) and same_array(least, want_least)
+    assert same_array(unit_regular, oracles.unit_regularity_by_products(ring))
+    assert np.array_equal(P, oracles.complement_products_by_gather(ring))
+
+
+@pytest.mark.parametrize("spec", ["prod:Zn:12+Zn:10", "prod:M2:Zn:2+Zn:6+Zn:1"])
+def test_a_product_builds_its_tables_only_when_they_are_read(spec):
+    factors = list(parse_ring_spec(spec).form[1])
+    ring = make_product(factors)
+    assert ring.size > rings.FROM_FACTORS_ABOVE
+    assert is_ic(ring).holds and is_ssp(ring).holds
+    assert "add_table" not in vars(ring) and "mul_table" not in vars(ring)
+    want = oracles.product_tables_by_weights(factors)
+    assert same_array(ring.add_table, want.add_table)
+    assert same_array(ring.mul_table, want.mul_table)
+    assert not ring.add_table.flags.writeable and not ring.mul_table.flags.writeable
+
+
+def test_a_small_product_reads_its_own_tables():
+    ring = make_product([make_zmod(8), make_zmod(8)])
+    assert ring.size == rings.FROM_FACTORS_ABOVE and not from_factors(ring)
+    assert is_ic(ring).holds and "mul_table" in vars(ring)
+
+
+def test_hunt_shares_its_factors_and_keeps_no_ring(monkeypatch):
+    # a cache of its own, so rings that other tests keep alive are not reused
+    monkeypatch.setattr(catalog, "_RING_CACHE", weakref.WeakValueDictionary())
+    built, zmods = [], []
+    for name in ("make_zmod", "make_matrix_ring", "make_triangular_ring", "make_product",
+                 "make_opposite"):
+        def counted(*args, _make=getattr(catalog, name), _name=name):
+            ring = _make(*args)
+            built.append(weakref.ref(ring))
+            if _name == "make_zmod":
+                zmods.append(args[0])
+            return ring
+        monkeypatch.setattr(catalog, name, counted)
+    assert run_hunt("ic&!ssp", 64)["candidates_examined"] == 150
+    specs = _hunt_candidates(64)
+    rows = {s.split("+")[0] for s in specs if s.startswith("prod:")}
+    # each spec builds at most one new Zn:n, and a row's first product one more;
+    # building each product's two factors afresh took 231
+    assert len(zmods) <= len(specs) + len(rows) < 231
+    gc.collect()
+    assert built and all(ref() is None for ref in built)
