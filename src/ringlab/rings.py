@@ -63,9 +63,10 @@ class FiniteRing:
                 setattr(self, name, _frozen_table(getattr(self, name)))
 
     def __getattr__(self, name):
-        # called only for a missing attribute: a product's unbuilt table
+        # called only for a missing attribute: a product's unbuilt table, or a
+        # property that raised AttributeError, which a plain lookup raises again
         if name not in ("add_table", "mul_table"):
-            raise AttributeError(name)
+            return object.__getattribute__(self, name)
         factors = self.form[1]
         table = _frozen_table(factor_sum(factors, [getattr(f, name) for f in factors]))
         setattr(self, name, table)
@@ -122,9 +123,9 @@ class FiniteRing:
             inverse = np.where(factor_all([f.unit_flags for f in factors]),
                                factor_sum(factors, [f.unit_inverse for f in factors]), -1)
         else:
+            # a finite ring is Dedekind-finite (uv = 1 gives vu = 1), so a
+            # row's one-sided hit is already the two-sided inverse
             hits = self.mul_table == self.one
-            if self.form[0] != "zmod":  # Z/n is commutative, so hits is symmetric
-                hits = hits & hits.T
             inverse = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
         inverse = inverse.astype(np.int32)
         inverse.setflags(write=False)

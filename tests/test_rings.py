@@ -211,6 +211,21 @@ def test_product_tables_match_the_weighted_sums(spec):
         assert table.flags.c_contiguous and not table.flags.writeable
 
 
+@pytest.mark.parametrize("spec", ["Zn:3", "prod:Zn:2+Zn:3"])
+def test_an_attribute_error_keeps_its_own_message(spec, monkeypatch):
+    # the hook that builds a product's tables must not swallow a property's
+    # AttributeError or the message of a missing attribute
+    def broken(ring):
+        raise AttributeError("raised inside the property")
+
+    monkeypatch.setattr(FiniteRing, "broken", property(broken), raising=False)
+    ring = parse_ring_spec(spec)
+    with pytest.raises(AttributeError, match="raised inside the property"):
+        ring.broken
+    with pytest.raises(AttributeError, match="has no attribute 'absent'"):
+        ring.absent
+
+
 def test_product_z2_z2_has_4_idempotents():
     # oracle: solve e^2 = e componentwise; both components of Z_2 are idempotent
     assert {(a, b) for a in oracles.zmod_idempotents(2)
